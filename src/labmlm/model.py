@@ -18,6 +18,7 @@ not just to rounding tolerance.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -365,7 +366,10 @@ def forward_decile(params: ModelParams, batch: Batch, training: bool = False, rn
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Single-file checkpoint: magic, JSON manifest, raw little-endian blob."""
+    """Single-file checkpoint: magic, JSON manifest, raw little-endian blob.
+
+    The file appears at `path` only once it is complete.
+    """
     named = params.named_tensors()
     dtype = "<f8" if params.embedding.data.dtype == np.float64 else "<f4"
     index = []
@@ -378,13 +382,22 @@ def save_checkpoint(path, params: ModelParams) -> None:
         offset += len(raw)
     manifest = json.dumps({"config": params.config.to_dict(), "dtype": dtype, "tensors": index},
                           sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(bytes([CHECKPOINT_VERSION]))
-        fh.write(struct.pack("<I", len(manifest)))
-        fh.write(manifest)
-        for raw in blobs:
-            fh.write(raw)
+    # Write beside the target and rename over it, so an interrupted save
+    # leaves the previous checkpoint whole.
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(bytes([CHECKPOINT_VERSION]))
+            fh.write(struct.pack("<I", len(manifest)))
+            fh.write(manifest)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> ModelParams:

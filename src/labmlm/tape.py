@@ -5,6 +5,12 @@ every op appends a backward closure to it; ``backward(loss)`` replays the tape
 in reverse and accumulates gradients into each input tensor's ``.grad``. Ops
 executed with no active tape run untracked, which is the inference path.
 
+Each tape supports one ``backward()``. The sweep releases every record as it
+consumes it, so a step's activations, closures and intermediate gradients are
+freed by refcount during the sweep rather than by the cyclic GC; a second
+``backward()`` on the same tape raises ContractError. ``len(tape)`` still
+counts the nodes recorded.
+
 Constant operands may be plain numpy arrays or Python scalars; they receive no
 gradient. Test builds run in float64 so finite-difference checks are
 meaningful; ``set_default_dtype(np.float32)`` switches the fast path.
@@ -198,9 +204,13 @@ def backward(loss: TapeTensor) -> None:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
     if loss._tape is None:
         raise ContractError("loss was not recorded on a tape; run the forward pass inside `with Tape():`")
-    loss.grad = np.ones_like(loss.data)
     records = loss._tape._records
-    for out, fn in reversed(records[: loss.node_id + 1]):
+    if records[0] is None:
+        raise ContractError("this tape was already consumed by backward(); record a new one")
+    loss.grad = np.ones_like(loss.data)
+    for i in range(loss.node_id, -1, -1):
+        out, fn = records[i]
+        records[i] = None
         if out.grad is not None:
             fn(out.grad)
 

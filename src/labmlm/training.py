@@ -201,7 +201,17 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
     Everything is driven by config.seed: batch sampling, masking, dropout.
     A 64-bit rerun with the same inputs writes byte-identical logs. A
     non-finite loss aborts with the offending batch dumped next to the log.
+    The run trains with config.dropout, and its checkpoints record that rate;
+    params.config gets the caller's rate back when pretrain returns or raises.
     """
+    caller_dropout = params.config.dropout_rate
+    try:
+        return _pretrain(params, train_bags, val_bags, config, out_dir)
+    finally:
+        params.config.dropout_rate = caller_dropout
+
+
+def _pretrain(params, train_bags, val_bags, config, out_dir):
     if not train_bags:
         raise ContractError("pretrain needs a nonempty training set")
     if not val_bags:

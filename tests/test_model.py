@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from labmlm import tape
+from labmlm import model, tape
 from labmlm.corpus import Batch, LabBag, mask_bag, pad_batch
 from labmlm.errors import ConfigError, DataError, FormatError, VocabError
 from labmlm.model import (
@@ -27,7 +27,9 @@ from labmlm.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from labmlm.optim import AdamState, adam_step
 from labmlm.tape import Tape, TapeTensor, backward
+from labmlm.training import multitask_loss
 
 from gradcheck import assert_grads_close
 
@@ -495,6 +497,29 @@ class TestGradientFlow:
                            coords_per_tensor=3, rng=np.random.default_rng(22))
 
 
+class TestFloat32:
+    def test_train_step_stays_float32(self):
+        tape.set_default_dtype(np.float32)
+        try:
+            rng = np.random.default_rng(28)
+            cfg = tiny_config()
+            params = init_params(cfg, seed=28)
+            batch = random_batch(rng, cfg, [3, 5, 4], n_mask=2, with_null=True)
+            adam = AdamState(params.tensors(), learning_rate=1e-3)
+            with Tape():
+                probs, preds = forward_continuous(params, batch, training=True, rng=rng)
+                loss = multitask_loss(probs, preds, batch).total
+            backward(loss)
+            adam_step(adam)
+        finally:
+            tape.set_default_dtype(np.float64)
+        assert loss.data.dtype == np.float32
+        assert np.isfinite(loss.item())
+        for name, t in params.named_tensors():
+            assert t.data.dtype == np.float32, name
+            assert t.grad is not None and t.grad.dtype == np.float32, name
+
+
 class TestCountParams:
     def test_breakdown_sums_to_total(self):
         for cfg in (tiny_config(), tiny_config(mode="decile", vocab_size=34)):
@@ -557,6 +582,37 @@ class TestCheckpoints:
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(FormatError, match="past end"):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(tiny_config(), seed=29))
+        before = path.read_bytes()
+
+        class DiskFull:
+            """File whose third write fails, after the header is out."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(model, "open", lambda p, mode: DiskFull(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, init_params(tiny_config(), seed=30))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_unsupported_version_rejected(self, tmp_path):
         params = init_params(tiny_config(), seed=27)

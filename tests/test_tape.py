@@ -1,5 +1,8 @@
 """Autodiff engine: forward oracles, backward vs finite differences, dropout."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,13 @@ from hypothesis import strategies as st
 
 from labmlm.errors import ConfigError, ContractError, DimensionError, NumericError
 from labmlm import tape
+from labmlm.model import forward_continuous, init_params
+from labmlm.optim import AdamState, adam_step, zero_param_grads
 from labmlm.tape import Tape, TapeTensor, backward
+from labmlm.training import multitask_loss
 
 from gradcheck import assert_grads_close
+from test_model import random_batch, tiny_config
 
 
 class TestMatmul:
@@ -151,6 +158,55 @@ class TestBackward:
             loss = w * w
         backward(loss)
         np.testing.assert_allclose(w.grad, 6.0)
+
+    def test_second_backward_on_swept_tape_rejected(self):
+        w = TapeTensor(np.array(3.0), trainable=True)
+        with Tape():
+            loss = w * w
+        backward(loss)
+        with pytest.raises(ContractError, match="already consumed"):
+            backward(loss)
+        np.testing.assert_allclose(w.grad, 6.0)
+
+    def test_len_counts_recorded_nodes_after_backward(self):
+        w = TapeTensor(np.ones((2, 3)), trainable=True)
+        with Tape() as t:
+            loss = (w * 2.0 + 1.0).sum()
+        recorded = len(t)
+        assert recorded == 3
+        backward(loss)
+        assert len(t) == recorded
+
+
+def _train_peak_bytes(steps):
+    """tracemalloc peak over `steps` tiny-model train steps with the cyclic GC off."""
+    cfg = tiny_config()
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    batch = random_batch(rng, cfg, [3, 5, 4], n_mask=2)
+    adam = AdamState(params.tensors(), 1e-3)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(steps):
+            zero_param_grads(params.tensors())
+            with Tape():
+                probs, preds = forward_continuous(params, batch, training=True, rng=rng)
+                loss = multitask_loss(probs, preds, batch).total
+            backward(loss)
+            adam_step(adam)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_train_step_memory_does_not_grow_with_steps():
+    # Refcounting alone must free each step's graph: if records outlived
+    # backward(), every step would stay alive until a cyclic collection and
+    # the peak would grow about fourfold from 5 to 20 steps.
+    assert _train_peak_bytes(20) < 1.5 * _train_peak_bytes(5)
 
 
 class TestGradChecks:

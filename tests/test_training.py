@@ -384,6 +384,27 @@ class TestPretrain:
         dumps = [f for f in os.listdir(tmp_path / "run") if f.startswith("diagnostic")]
         assert len(dumps) == 1
 
+    def test_caller_config_unchanged(self, tmp_path):
+        params, bags, _ = self.model_and_bags()
+        params.config.dropout_rate = 0.25
+        before = params.config.to_dict()
+        cfg = TrainConfig(steps=2, batch_size=4, learning_rate=1e-3, dropout=0.0, seed=5)
+        result = pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
+        assert params.config.to_dict() == before
+        # The checkpoint still records the rate the run trained with.
+        assert load_checkpoint(result.final_checkpoint).config.dropout_rate == 0.0
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_caller_config_unchanged_when_pretrain_raises(self, tmp_path):
+        params, bags, _ = self.model_and_bags()
+        params.config.dropout_rate = 0.25
+        params.head_w2.data *= 1e6
+        before = params.config.to_dict()
+        cfg = TrainConfig(steps=2, batch_size=8, learning_rate=1e-3, dropout=0.0, seed=4)
+        with pytest.raises(NumericError):
+            pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
+        assert params.config.to_dict() == before
+
     def test_empty_sets_rejected(self, tmp_path):
         params, bags, _ = self.model_and_bags()
         cfg = TrainConfig(steps=1, batch_size=2)

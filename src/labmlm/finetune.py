@@ -7,6 +7,14 @@ top. Extra (non-lab) features join through a width-preserving ReLU dense
 before the head. Heads are scored with k-fold cross-validation over an
 exhaustive hyperparameter grid, and a regularized logistic (or plain least
 squares) baseline can be fit on the same folds for comparison.
+
+Heads can be stacked along a leading member axis M (`stack_heads`): weights
+become (M, fan_in, fan_out) and biases (M, 1, fan_out), and one forward,
+backward and Adam step then train every member at once, each with its own
+learning rate, dropout rate and generator. The grid search trains the
+learning-rate x dropout cells that share a replicate, a fold, epochs and a
+batch size as one stack; every member ends bit-identical to the same head
+trained alone.
 """
 
 from __future__ import annotations
@@ -169,7 +177,13 @@ class FinetuneHead:
     out_w: TapeTensor
     out_b: TapeTensor
 
+    @property
+    def stacked(self) -> bool:
+        """True when every tensor carries a leading member axis."""
+        return self.dense_w.ndim == 3
+
     def tensors(self):
+        """Weights and biases alternating: every odd entry is a bias."""
         out = []
         if self.extra_w is not None:
             out += [self.extra_w, self.extra_b]
@@ -196,17 +210,73 @@ def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2) -> Finetun
     return FinetuneHead(task_kind, extra_w, extra_b, dense_w, dense_b, out_w, out_b)
 
 
+def _with_tensors(like: FinetuneHead, tensors) -> FinetuneHead:
+    it = iter(tensors)
+    extra = (next(it), next(it)) if like.extra_w is not None else (None, None)
+    return FinetuneHead(like.task_kind, *extra, *it)
+
+
+def stack_heads(heads) -> FinetuneHead:
+    """Copy same-shaped heads into one head with a leading member axis.
+
+    Weights become (M, fan_in, fan_out) and biases (M, 1, fan_out), so a
+    bias broadcasts over each member's batch rows.
+    """
+    stacked = []
+    for i, group in enumerate(zip(*(h.tensors() for h in heads))):
+        data = np.stack([t.data for t in group])
+        stacked.append(TapeTensor(data[:, None, :] if i % 2 else data, trainable=True))
+    return _with_tensors(heads[0], stacked)
+
+
+def unstack_heads(stack: FinetuneHead) -> list:
+    """One head per member whose tensors view the stack's arrays."""
+    return [_with_tensors(stack, [TapeTensor(t.data[m, 0] if i % 2 else t.data[m],
+                                             trainable=True)
+                                  for i, t in enumerate(stack.tensors())])
+            for m in range(stack.dense_w.shape[0])]
+
+
+def _member_dropout(z, rates, rngs, training) -> TapeTensor:
+    """`tape.dropout` on each member of a stacked [M, b, width] activation.
+
+    Member m draws its mask from rngs[m]; a member with rate 0 draws nothing
+    and keeps every unit, as `tape.dropout` does for one head. A single rate
+    applies to every member.
+    """
+    rates = np.broadcast_to(np.asarray(rates, dtype=float), z.shape[:1])
+    for rate in rates:
+        if not 0.0 <= rate < 1.0:
+            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or not any(rates):
+        return z
+    draws = np.zeros(z.shape)       # a member left at 0 keeps every unit
+    for m, (rate, rng) in enumerate(zip(rates, rngs)):
+        if rate > 0.0:
+            rng.random(out=draws[m])
+    rates = rates[:, None, None]
+    dtype = z.data.dtype
+    return tape.mul(z, (draws >= rates).astype(dtype) / (1.0 - rates).astype(dtype))
+
+
 def head_logits(head: FinetuneHead, pooled, extras=None, training=False,
                 rng=None, dropout=0.0) -> TapeTensor:
+    """Head logits for [b, d] inputs, or [M, b, d] for a stacked head.
+
+    A stacked head takes one dropout rate and one generator per member.
+    """
     x = pooled if isinstance(pooled, TapeTensor) else TapeTensor(np.asarray(pooled))
     if head.extra_w is not None:
-        if extras is None or np.asarray(extras).shape[1] != head.extra_w.shape[0]:
+        if extras is None or np.asarray(extras).shape[-1] != head.extra_w.shape[-2]:
             raise ConfigError("head expects extra features of width "
-                              f"{head.extra_w.shape[0]}")
+                              f"{head.extra_w.shape[-2]}")
         e = tape.relu(tape.matmul(TapeTensor(np.asarray(extras)), head.extra_w) + head.extra_b)
         x = tape.concat([x, e], axis=-1)
     z = tape.relu(tape.matmul(x, head.dense_w) + head.dense_b)
-    z = tape.dropout(z, dropout, rng, training)
+    if head.stacked:
+        z = _member_dropout(z, dropout, rng, training)
+    else:
+        z = tape.dropout(z, dropout, rng, training)
     logits = tape.matmul(z, head.out_w) + head.out_b
     if head.task_kind != TASK_MULTICLASS:
         logits = tape.reshape(logits, logits.shape[:-1])
@@ -228,47 +298,84 @@ def finetune_forward(base: ModelParams, batch, extras, head: FinetuneHead,
     return logits
 
 
-def head_loss(head: FinetuneHead, logits, labels) -> TapeTensor:
-    """Mean CE (from logits) for classification, mean squared error otherwise."""
+def _member_losses(head: FinetuneHead, logits, labels) -> TapeTensor:
+    """Each member's mean loss: shape (M,) for a stacked head, else a scalar."""
+    axis = -1 if head.stacked else None
     labels = np.asarray(labels, dtype=float)
     if head.task_kind == TASK_BINARY:
         # -[y log p + (1-y) log(1-p)] = softplus(z) - y z
-        return tape.tmean(tape.softplus(logits) - tape.mul(logits, labels))
+        return tape.tmean(tape.softplus(logits) - tape.mul(logits, labels), axis=axis)
     if head.task_kind == TASK_MULTICLASS:
         logp = tape.log_softmax(logits, axis=-1)
-        picked = tape.take_along_last(logp, labels.astype(np.int64))
-        return tape.neg(tape.tmean(picked))
+        ids = np.broadcast_to(labels.astype(np.int64), logp.shape[:-1])
+        return tape.neg(tape.tmean(tape.take_along_last(logp, ids), axis=axis))
     diff = logits - labels
-    return tape.tmean(tape.mul(diff, diff))
+    return tape.tmean(tape.mul(diff, diff), axis=axis)
+
+
+def head_loss(head: FinetuneHead, logits, labels) -> TapeTensor:
+    """Mean CE (from logits) for classification, mean squared error otherwise.
+
+    A stacked head's loss is the sum of its members' means, so each member
+    gets exactly the gradient it would get alone.
+    """
+    losses = _member_losses(head, logits, labels)
+    return tape.tsum(losses) if head.stacked else losses
 
 
 def train_head(head: FinetuneHead, pooled, extras, labels, *, epochs, batch_size,
-               learning_rate, dropout, seed) -> float:
-    """Adam over minibatches; returns the final-epoch mean training loss."""
+               learning_rate, dropout, seed):
+    """Adam over minibatches; returns the final-epoch mean training loss.
+
+    A stacked head takes a sequence of learning rates, dropout rates and seeds,
+    one per member, and returns one loss per member. Every member shares the
+    training rows but draws its own epoch orders and dropout masks from its own
+    generator, and ends bit-identical to the same head trained alone.
+    """
+    if head.stacked:
+        return _train_stack(head, pooled, extras, labels, epochs, batch_size,
+                            learning_rate, dropout, seed)
+    stack = stack_heads([head])
+    losses = _train_stack(stack, pooled, extras, labels, epochs, batch_size,
+                          [learning_rate], [dropout], [seed])
+    for t, trained in zip(head.tensors(), unstack_heads(stack)[0].tensors()):
+        t.data[...] = trained.data
+    return float(losses[0])
+
+
+def _train_stack(stack, pooled, extras, labels, epochs, batch_size, learning_rates,
+                 dropouts, seeds) -> np.ndarray:
     n = len(labels)
     if batch_size > n:
         raise ConfigError(f"batch_size {batch_size} exceeds {n} training samples")
-    rng = np.random.default_rng(seed)
-    tensors = head.tensors()
-    adam = AdamState(tensors, learning_rate)
+    members = stack.dense_w.shape[0]
+    if not len(learning_rates) == len(dropouts) == len(seeds) == members:
+        raise ConfigError(f"a stack of {members} heads needs {members} learning rates, "
+                          "dropout rates and seeds")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    tensors = stack.tensors()
+    lrs = np.asarray(learning_rates, dtype=stack.dense_w.data.dtype)
+    adam = AdamState(tensors, lrs.reshape(-1, 1, 1))
     pooled = np.asarray(pooled)
     extras = None if extras is None else np.asarray(extras)
-    last = float("nan")
+    labels = np.asarray(labels)
+    last = np.full(members, np.nan)
     for _ in range(epochs):
-        order = rng.permutation(n)
+        orders = np.stack([rng.permutation(n) for rng in rngs])
         losses = []
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+            idx = orders[:, start : start + batch_size]
             zero_param_grads(tensors)
             with Tape():
-                logits = head_logits(head, pooled[idx],
+                logits = head_logits(stack, pooled[idx],
                                      None if extras is None else extras[idx],
-                                     training=True, rng=rng, dropout=dropout)
-                loss = head_loss(head, logits, labels[idx])
-                backward(loss)
+                                     training=True, rng=rngs, dropout=dropouts)
+                member = _member_losses(stack, logits, labels[idx])
+                backward(tape.tsum(member))
             adam_step(adam)
-            losses.append(loss.item())
-        last = float(np.mean(losses))
+            losses.append(member.data)
+        # one mean per member over its own list, the order a lone head sums in
+        last = np.array([np.mean(col) for col in zip(*losses)])
     return last
 
 
@@ -280,6 +387,31 @@ def eval_head(head: FinetuneHead, pooled, extras, labels) -> float:
 
 # ---------------------------------------------------------------------------
 # Grid search
+
+
+def _check_labels(labels, task_kind, n_classes=None) -> None:
+    """Raise DataError at the first label the task cannot train on.
+
+    Every label must be finite; binary labels must be 0 or 1; multiclass
+    labels must be integers in [0, n_classes), or >= 0 when n_classes is None.
+    """
+    labels = np.asarray(labels, dtype=float)
+    bad = ~np.isfinite(labels)
+    if task_kind == TASK_BINARY:
+        bad |= (labels != 0.0) & (labels != 1.0)
+        want = "binary labels must be 0 or 1"
+    elif task_kind == TASK_MULTICLASS:
+        bad |= (labels != np.floor(labels)) | (labels < 0)
+        if n_classes is None:
+            want = "multiclass labels must be integers >= 0"
+        else:
+            bad |= labels >= n_classes
+            want = f"multiclass labels must be integers in [0, {n_classes})"
+    else:
+        want = "regression labels must be finite"
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"row {i} has label {labels[i]}: {want}")
 
 
 def make_folds(n: int, k: int, rng) -> np.ndarray:
@@ -309,48 +441,57 @@ def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecd
     The base model is encoded once up front (it is frozen, so its pooled
     embeddings never change); every grid cell trains only a head. Replicates
     vary the seed alone, which redraws fold assignments and head inits.
-    The winner has the lowest mean held-out metric; ties prefer fewer epochs,
-    then a smaller learning rate.
+    Within a replicate and a fold, the learning-rate x dropout cells that
+    share epochs and a batch size train as one stack of heads; each cell's
+    head keeps its own init and training seed, so every row matches training
+    each head alone. The winner has the lowest mean held-out metric; ties
+    prefer fewer epochs, then a smaller learning rate.
     """
+    labels = dataset.labels
+    _check_labels(labels, cfg.task_kind, cfg.n_classes)
     n = len(dataset)
     min_train = n - (n + k_folds - 1) // k_folds
     too_big = [b for b in cfg.batch_grid if b > min_train]
     if too_big:
         raise ConfigError(f"batch sizes {too_big} exceed the smallest training fold "
                           f"({min_train} samples)")
-    labels = dataset.labels
-    if cfg.task_kind == TASK_MULTICLASS:
-        if labels.max() >= cfg.n_classes or labels.min() < 0:
-            raise ConfigError("labels outside [0, n_classes)")
 
     bags = dataset_bags(dataset, vocab, ecdfs)
     pooled = pool_embeddings(base, bags)
     extras = dataset.extras if dataset.extras.shape[1] else None
+    n_extra = 0 if extras is None else extras.shape[1]
 
     cells = list(itertools.product(cfg.epochs_grid, cfg.batch_grid,
                                    cfg.lr_grid, cfg.dropout_grid))
+    stacks = {}     # (epochs, batch size) -> the cells that train as one stack
+    for ci, (epochs, batch_size, _, _) in enumerate(cells):
+        stacks.setdefault((epochs, batch_size), []).append(ci)
     per_cell = [[] for _ in cells]
     for rep in range(replicates):
         rep_seed = seed + rep
         fold = make_folds(n, k_folds, np.random.default_rng(rep_seed))
-        for ci, (epochs, batch_size, lr, dropout) in enumerate(cells):
-            fold_metrics = []
-            for f in range(k_folds):
-                train_idx = np.flatnonzero(fold != f)
-                test_idx = np.flatnonzero(fold == f)
-                head = init_finetune_head(
+        fold_metrics = [[] for _ in cells]
+        for f in range(k_folds):
+            train_idx = np.flatnonzero(fold != f)
+            test_idx = np.flatnonzero(fold == f)
+            train_pooled, test_pooled = pooled[train_idx], pooled[test_idx]
+            train_extras = None if extras is None else extras[train_idx]
+            test_extras = None if extras is None else extras[test_idx]
+            for (epochs, batch_size), members in stacks.items():
+                stack = stack_heads([init_finetune_head(
                     np.random.default_rng((rep_seed * 1009 + ci) * 31 + f),
-                    pooled.shape[1], 0 if extras is None else extras.shape[1],
-                    cfg.task_kind, cfg.n_classes)
-                train_head(head, pooled[train_idx],
-                           None if extras is None else extras[train_idx],
-                           labels[train_idx], epochs=epochs, batch_size=batch_size,
-                           learning_rate=lr, dropout=dropout,
-                           seed=(rep_seed * 7919 + ci) * 31 + f)
-                fold_metrics.append(eval_head(
-                    head, pooled[test_idx],
-                    None if extras is None else extras[test_idx], labels[test_idx]))
-            per_cell[ci].append(float(np.mean(fold_metrics)))
+                    pooled.shape[1], n_extra, cfg.task_kind, cfg.n_classes)
+                    for ci in members])
+                train_head(stack, train_pooled, train_extras, labels[train_idx],
+                           epochs=epochs, batch_size=batch_size,
+                           learning_rate=[cells[ci][2] for ci in members],
+                           dropout=[cells[ci][3] for ci in members],
+                           seed=[(rep_seed * 7919 + ci) * 31 + f for ci in members])
+                for ci, head in zip(members, unstack_heads(stack)):
+                    fold_metrics[ci].append(eval_head(
+                        head, test_pooled, test_extras, labels[test_idx]))
+        for ci, metrics in enumerate(fold_metrics):
+            per_cell[ci].append(float(np.mean(metrics)))
 
     rows = []
     for (epochs, batch_size, lr, dropout), reps in zip(cells, per_cell):
@@ -458,8 +599,9 @@ def fit_linear_baseline(dataset: FinetuneDataset, task_kind: str,
     """
     if task_kind not in _TASKS:
         raise ConfigError(f"unknown task kind {task_kind!r}")
-    x_all = np.concatenate([dataset.lab_values, dataset.extras], axis=1)
     y = dataset.labels
+    _check_labels(y, task_kind)
+    x_all = np.concatenate([dataset.lab_values, dataset.extras], axis=1)
     n = len(y)
     fold = make_folds(n, k_folds, np.random.default_rng(seed))
     n_classes = int(y.max()) + 1 if task_kind == TASK_MULTICLASS else 2

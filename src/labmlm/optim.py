@@ -12,10 +12,14 @@ from .tape import TapeTensor
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment estimates plus the step counter."""
+    """Per-parameter first/second moment estimates plus the step counter.
+
+    `learning_rate` is a float, or an array that broadcasts against every
+    parameter, such as one rate per member of a stack shaped (M, 1, 1).
+    """
 
     params: list
-    learning_rate: float
+    learning_rate: float | np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -24,8 +28,9 @@ class AdamState:
     v: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
+        lr = np.asarray(self.learning_rate)
+        if not np.all(np.isfinite(lr) & (lr >= 0)):
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
         if not self.m:

@@ -515,12 +515,15 @@ def take_bl(a, rows, cols) -> TapeTensor:
 
 
 def take_along_last(a, ids) -> TapeTensor:
-    """Per-row column gather from an [n, V] tensor: out[n] = a[n, ids[n]]."""
+    """Per-row gather along the last axis: out[..., n] = a[..., n, ids[..., n]].
+
+    `ids` has the shape of `a` without its last axis, e.g. [n] for an [n, V]
+    tensor or [M, n] for [M, n, V].
+    """
     da = _data(a)
     ids = np.asarray(ids)
-    n = da.shape[0]
-    rows = np.arange(n)
-    out = TapeTensor(da[rows, ids])
+    rows = (*np.indices(ids.shape, sparse=True), ids)
+    out = TapeTensor(da[rows])
     tape = _active_tape()
     if tape is not None:
 
@@ -528,7 +531,7 @@ def take_along_last(a, ids) -> TapeTensor:
             if isinstance(a, TapeTensor):
                 if a.grad is None:
                     a.grad = np.zeros_like(a.data)
-                np.add.at(a.grad, (rows, ids), g)
+                np.add.at(a.grad, rows, g)
 
         tape._add(out, bwd)
     return out

@@ -33,9 +33,12 @@ from labmlm.finetune import (
     make_folds,
     mean_min_max,
     pool_embeddings,
+    stack_heads,
     train_head,
+    unstack_heads,
 )
 from labmlm.model import ModelConfig, init_params
+from labmlm.optim import AdamState, adam_step, zero_param_grads
 from labmlm.tape import Tape, TapeTensor, backward
 
 
@@ -265,6 +268,100 @@ class TestHead:
                        batch_size=8, learning_rate=0.01, dropout=0.0, seed=0)
 
 
+# (learning rate, dropout) per member: two rates and one dropout-0 member.
+STACK_MEMBERS = ((0.01, 0.0), (0.03, 0.3), (0.01, 0.5))
+
+
+def stack_task(task_kind, n=22, seed=30):
+    rng = np.random.default_rng(seed)
+    pooled = rng.normal(size=(n, 6))
+    extras = rng.normal(size=(n, 2))
+    if task_kind == TASK_BINARY:
+        labels = (pooled[:, 0] + extras[:, 0] > 0).astype(float)
+    elif task_kind == TASK_MULTICLASS:
+        labels = rng.integers(0, 3, size=n).astype(float)
+    else:
+        labels = pooled[:, 1] + 0.5 * extras[:, 1]
+    return pooled, extras, labels
+
+
+class TestStackedHeads:
+    def fresh(self, task_kind, m):
+        return init_finetune_head(np.random.default_rng(40 + m), 6, 2, task_kind, n_classes=3)
+
+    def test_stack_and_unstack_shapes(self):
+        heads = [self.fresh(TASK_MULTICLASS, m) for m in range(3)]
+        stack = stack_heads(heads)
+        assert stack.stacked and not heads[0].stacked
+        assert stack.extra_w.shape == (3, 2, 2)
+        assert stack.dense_b.shape == (3, 1, 8)
+        assert stack.out_w.shape == (3, 8, 3)
+        for head, member in zip(heads, unstack_heads(stack)):
+            for a, b in zip(head.tensors(), member.tensors()):
+                np.testing.assert_array_equal(a.data, b.data)
+        member = unstack_heads(stack)[1]
+        member.dense_w.data[0, 0] = 7.0
+        assert stack.dense_w.data[1, 0, 0] == 7.0
+
+    @pytest.mark.parametrize("task_kind", [TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION])
+    def test_stack_trains_exactly_like_its_members_alone(self, task_kind):
+        pooled, extras, labels = stack_task(task_kind)
+        lrs = [lr for lr, _ in STACK_MEMBERS]
+        rates = [rate for _, rate in STACK_MEMBERS]
+        seeds = [50 + m for m in range(len(STACK_MEMBERS))]
+        stack = stack_heads([self.fresh(task_kind, m) for m in range(len(STACK_MEMBERS))])
+        losses = train_head(stack, pooled, extras, labels, epochs=3, batch_size=5,
+                            learning_rate=lrs, dropout=rates, seed=seeds)
+        assert losses.shape == (len(STACK_MEMBERS),)
+        for m, member in enumerate(unstack_heads(stack)):
+            alone = self.fresh(task_kind, m)
+            loss = train_head(alone, pooled, extras, labels, epochs=3, batch_size=5,
+                              learning_rate=lrs[m], dropout=rates[m], seed=seeds[m])
+            assert loss == losses[m]
+            for a, b in zip(member.tensors(), alone.tensors()):
+                np.testing.assert_array_equal(a.data, b.data)
+
+    def test_one_head_matches_a_plain_training_loop(self):
+        pooled, extras, labels = stack_task(TASK_BINARY)
+        head = self.fresh(TASK_BINARY, 0)
+        train_head(head, pooled, extras, labels, epochs=3, batch_size=5,
+                   learning_rate=0.03, dropout=0.3, seed=7)
+        ref = self.fresh(TASK_BINARY, 0)
+        rng = np.random.default_rng(7)
+        adam = AdamState(ref.tensors(), 0.03)
+        for _ in range(3):
+            order = rng.permutation(len(labels))
+            for start in range(0, len(labels), 5):
+                idx = order[start : start + 5]
+                zero_param_grads(ref.tensors())
+                with Tape():
+                    logits = head_logits(ref, pooled[idx], extras[idx], training=True,
+                                         rng=rng, dropout=0.3)
+                    backward(head_loss(ref, logits, labels[idx]))
+                adam_step(adam)
+        for a, b in zip(head.tensors(), ref.tensors()):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_stacked_loss_sums_member_means(self):
+        pooled, extras, labels = stack_task(TASK_MULTICLASS)
+        heads = [self.fresh(TASK_MULTICLASS, m) for m in range(2)]
+        stack = stack_heads(heads)
+        got = head_loss(stack, head_logits(stack, np.stack([pooled, pooled]),
+                                           np.stack([extras, extras])), labels).item()
+        want = sum(head_loss(h, head_logits(h, pooled, extras), labels).item() for h in heads)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_stack_needs_one_setting_per_member(self):
+        pooled, extras, labels = stack_task(TASK_BINARY)
+        stack = stack_heads([self.fresh(TASK_BINARY, m) for m in range(2)])
+        with pytest.raises(ConfigError, match="2 heads"):
+            train_head(stack, pooled, extras, labels, epochs=1, batch_size=5,
+                       learning_rate=[0.01], dropout=[0.0, 0.0], seed=[1, 2])
+        with pytest.raises(ConfigError, match="dropout"):
+            train_head(stack, pooled, extras, labels, epochs=1, batch_size=5,
+                       learning_rate=[0.01, 0.01], dropout=[0.0, 1.0], seed=[1, 2])
+
+
 class TestFolds:
     def test_sizes_balanced_and_deterministic(self):
         f1 = make_folds(23, 5, np.random.default_rng(3))
@@ -329,6 +426,101 @@ class TestGridSearch:
         ]
         best = min(rows, key=lambda r: (r["mean"], r["epochs"], r["learning_rate"]))
         assert best == rows[2]
+
+
+def golden_dataset(vocab, task_kind, n=23, seed=21):
+    rng = np.random.default_rng(seed)
+    codes = list(vocab.codes)
+    labs = rng.uniform(0, 1, size=(n, len(codes)))
+    extras = rng.normal(size=(n, 2))
+    if task_kind == TASK_BINARY:
+        labels = (labs[:, 0] + 0.3 * extras[:, 0] > 0.5).astype(float)
+    elif task_kind == TASK_MULTICLASS:
+        labels = np.digitize(labs[:, 0], [1 / 3, 2 / 3]).astype(float)
+    else:
+        labels = 2.0 * labs[:, 0] + extras[:, 1]
+    return FinetuneDataset(labs, labels, codes, extras, ["e0", "e1"])
+
+
+# replicate_metrics of each row, in grid order, recorded from training every
+# head alone; any drift in the fine-tune arithmetic changes them.
+GOLDEN_ROWS = {
+    TASK_BINARY: [
+        [0.7734783463499707, 0.7407188084099182], [0.6971368980312007, 0.7114759982865768],
+        [0.7591067458369123, 0.7588151817592277], [0.7505409255819508, 0.7522347525554686],
+        [0.7079373833424446, 0.79398323485318], [0.7729007832078787, 0.8153506338918127],
+        [0.7194517870334983, 0.757587568354112], [0.7023144281714881, 0.7617642521512963],
+    ],
+    TASK_MULTICLASS: [
+        [1.172066065346775, 1.2509217384079878], [1.1040130680010194, 1.2485853210351108],
+        [1.1390805872382566, 1.2478130546975872], [1.1873280987849664, 1.214471188552657],
+        [1.1195492281197699, 1.17639429567839], [1.0974191365781671, 1.240017459412369],
+        [1.2943918947078612, 1.3418010820269661], [1.113302563883504, 1.2945217324692722],
+    ],
+    TASK_REGRESSION: [
+        [1.719571619185685, 1.8016639567577606], [1.666045990866016, 1.9426720959071044],
+        [1.2187910763466607, 1.2576475388541335], [1.3145469427316725, 1.4839631726273452],
+        [1.5563003340244914, 1.7103794452278396], [1.932085530036781, 2.003342242082922],
+        [0.989109264448498, 1.4616631985755804], [1.2838216856596643, 1.9716477313982395],
+    ],
+}
+
+
+@pytest.mark.parametrize("task_kind", [TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION])
+def test_golden_grid_rows(task_kind):
+    """Unequal folds (23 rows, k=5), a dropout-0 cell, two extras, two stacks."""
+    vocab, ecdfs, _ = corpus_fixture()
+    base = base_fixture(vocab)
+    cfg = FinetuneConfig(task_kind=task_kind, n_classes=3, epochs_grid=(3,),
+                         batch_grid=(5, 8), lr_grid=(0.01, 0.05), dropout_grid=(0.0, 0.4))
+    result = grid_search_finetune(base, golden_dataset(vocab, task_kind), vocab, ecdfs,
+                                  cfg, k_folds=5, replicates=2, seed=4)
+    assert [r["replicate_metrics"] for r in result.rows] == GOLDEN_ROWS[task_kind]
+
+
+class TestLabelValidation:
+    def grid(self, labels, task_kind=TASK_BINARY):
+        vocab, ecdfs, _ = corpus_fixture()
+        ds = toy_dataset(vocab, n=len(labels))
+        ds.labels = np.asarray(labels, dtype=float)
+        cfg = FinetuneConfig(task_kind=task_kind, n_classes=3, epochs_grid=(1,),
+                             batch_grid=(2,), lr_grid=(0.01,), dropout_grid=(0.0,))
+        return grid_search_finetune(base_fixture(vocab), ds, vocab, ecdfs, cfg, k_folds=2)
+
+    def baseline(self, labels, task_kind):
+        labels = np.asarray(labels, dtype=float)
+        x = np.linspace(0, 1, len(labels)).reshape(-1, 1)
+        ds = FinetuneDataset(x, labels, ["c"], np.zeros((len(labels), 0)), [])
+        return fit_linear_baseline(ds, task_kind, k_folds=2)
+
+    def test_binary_label_outside_zero_one(self):
+        with pytest.raises(DataError, match="row 3 has label 2.0"):
+            self.grid([0, 1, 0, 2, 1, 0])
+        with pytest.raises(DataError, match="row 3 has label 2.0"):
+            self.baseline([0, 1, 0, 2, 1, 0], TASK_BINARY)
+
+    def test_fractional_multiclass_label(self):
+        with pytest.raises(DataError, match="row 2 has label 1.7"):
+            self.grid([0, 1, 1.7, 2, 1, 0], TASK_MULTICLASS)
+        with pytest.raises(DataError, match="row 2 has label 1.7"):
+            self.baseline([0, 1, 1.7, 2, 1, 0], TASK_MULTICLASS)
+
+    def test_nan_label(self):
+        for task_kind in (TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION):
+            with pytest.raises(DataError, match="row 4 has label nan"):
+                self.grid([0, 1, 0, 1, np.nan, 0], task_kind)
+            with pytest.raises(DataError, match="row 4 has label nan"):
+                self.baseline([0, 1, 0, 1, np.nan, 0], task_kind)
+
+    def test_multiclass_label_outside_n_classes(self):
+        with pytest.raises(DataError, match=r"row 1 has label 3.0.*\[0, 3\)"):
+            self.grid([0, 3, 1, 2, 1, 0], TASK_MULTICLASS)
+        with pytest.raises(DataError, match="row 5 has label -1.0"):
+            self.grid([0, 2, 1, 2, 1, -1], TASK_MULTICLASS)
+
+    def test_baseline_infers_classes_but_rejects_negatives(self):
+        with pytest.raises(DataError, match="row 5 has label -1.0"):
+            self.baseline([0, 2, 1, 2, 1, -1], TASK_MULTICLASS)
 
 
 class TestLinearBaseline:

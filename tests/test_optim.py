@@ -66,6 +66,30 @@ def test_bad_hyperparameters_rejected():
         AdamState([p], learning_rate=0.1, beta1=1.0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), np.array([0.1, -0.1, 0.2])])
+def test_non_finite_or_negative_learning_rate_rejected(lr):
+    p = TapeTensor(np.zeros(3), trainable=True)
+    with pytest.raises(ConfigError):
+        AdamState([p], learning_rate=lr)
+
+
+def test_per_member_learning_rates_match_separate_states():
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(2, 3, 4))
+    grads = [rng.normal(size=(2, 3, 4)) for _ in range(5)]
+    lrs = np.array([0.1, 0.03])
+    stacked = TapeTensor(w.copy(), trainable=True)
+    state = AdamState([stacked], learning_rate=lrs.reshape(-1, 1, 1))
+    alone = [TapeTensor(w[m].copy(), trainable=True) for m in range(2)]
+    states = [AdamState([alone[m]], learning_rate=float(lrs[m])) for m in range(2)]
+    for g in grads:
+        adam_step(state, grads=[g])
+        for m in range(2):
+            adam_step(states[m], grads=[g[m]])
+    for m in range(2):
+        np.testing.assert_array_equal(stacked.data[m], alone[m].data)
+
+
 def test_zero_learning_rate_is_a_no_op():
     p = TapeTensor(np.array([1.0, -2.0]), trainable=True)
     state = AdamState([p], learning_rate=0.0)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from . import tape
-from .tape import TapeTensor, glorot_uniform
+from .tape import TapeTensor, init_tensors
 
 PAD_LOGIT = -1e9
 
@@ -30,30 +30,20 @@ class AttentionParams:
     wo: TapeTensor
     bo: TapeTensor
 
-    def named_tensors(self, prefix: str = "") -> list:
-        return [
-            (prefix + "wq", self.wq), (prefix + "bq", self.bq),
-            (prefix + "wk", self.wk), (prefix + "bk", self.bk),
-            (prefix + "wv", self.wv), (prefix + "bv", self.bv),
-            (prefix + "wo", self.wo), (prefix + "bo", self.bo),
-        ]
 
-
-def init_attention_params(rng, d_model: int, num_heads: int, key_dim: int) -> AttentionParams:
+def attention_spec(d_model: int, num_heads: int, key_dim: int) -> list:
+    """The layer's parameters as (name, shape, init), in draw order."""
     if num_heads < 1 or key_dim < 1:
         raise ConfigError(f"num_heads and key_dim must be >= 1, got {num_heads}, {key_dim}")
     hk = num_heads * key_dim
+    return [("wq", (d_model, hk), "glorot"), ("bq", (hk,), "zeros"),
+            ("wk", (d_model, hk), "glorot"), ("bk", (hk,), "zeros"),
+            ("wv", (d_model, hk), "glorot"), ("bv", (hk,), "zeros"),
+            ("wo", (hk, d_model), "glorot"), ("bo", (d_model,), "zeros")]
 
-    def dense(fan_in, fan_out):
-        w = TapeTensor(glorot_uniform(rng, (fan_in, fan_out), fan_in, fan_out), trainable=True)
-        b = TapeTensor(np.zeros(fan_out), trainable=True)
-        return w, b
 
-    wq, bq = dense(d_model, hk)
-    wk, bk = dense(d_model, hk)
-    wv, bv = dense(d_model, hk)
-    wo, bo = dense(hk, d_model)
-    return AttentionParams(wq, bq, wk, bk, wv, bv, wo, bo)
+def init_attention_params(rng, d_model: int, num_heads: int, key_dim: int) -> AttentionParams:
+    return AttentionParams(**init_tensors(rng, attention_spec(d_model, num_heads, key_dim)))
 
 
 def multi_head_attention(

@@ -33,7 +33,7 @@ from .ecdf import MODE_CONTINUOUS, ecdf_apply
 from .errors import ConfigError, ContractError, DataError
 from .model import ModelParams, encode
 from .optim import AdamState, adam_step, zero_param_grads
-from .tape import Tape, TapeTensor, backward, glorot_uniform, untracked
+from .tape import Tape, TapeTensor, backward, init_tensors, untracked
 
 TASK_BINARY = "binary"
 TASK_MULTICLASS = "multiclass"
@@ -196,18 +196,16 @@ def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2) -> Finetun
         raise ConfigError(f"unknown task kind {task_kind!r}")
     out_dim = n_classes if task_kind == TASK_MULTICLASS else 1
 
-    def dense(fan_in, fan_out):
-        w = TapeTensor(glorot_uniform(rng, (fan_in, fan_out), fan_in, fan_out), trainable=True)
-        return w, TapeTensor(np.zeros(fan_out), trainable=True)
-
-    extra_w = extra_b = None
+    spec = []
     width = d_model
     if n_extra > 0:
-        extra_w, extra_b = dense(n_extra, n_extra)
+        spec += [("extra_w", (n_extra, n_extra), "glorot"), ("extra_b", (n_extra,), "zeros")]
         width += n_extra
-    dense_w, dense_b = dense(width, width)
-    out_w, out_b = dense(width, out_dim)
-    return FinetuneHead(task_kind, extra_w, extra_b, dense_w, dense_b, out_w, out_b)
+    spec += [("dense_w", (width, width), "glorot"), ("dense_b", (width,), "zeros"),
+             ("out_w", (width, out_dim), "glorot"), ("out_b", (out_dim,), "zeros")]
+    tensors = init_tensors(rng, spec)
+    return FinetuneHead(task_kind, tensors.pop("extra_w", None), tensors.pop("extra_b", None),
+                        **tensors)
 
 
 def _with_tensors(like: FinetuneHead, tensors) -> FinetuneHead:

@@ -14,12 +14,18 @@ Bag order is meaningless, so forwards canonicalize it: positions are sorted
 row-wise by (pad, token, null, value) before the network runs and outputs are
 unsorted afterwards. Reordering a bag therefore permutes outputs bit-exactly,
 not just to rounding tolerance.
+
+`param_spec` is the one declaration of the parameters: each one's name, shape
+and init, in order. Initialization, counting, `named_tensors` and the
+checkpoint checks all derive from it, so old checkpoints keep loading and a
+seed keeps drawing the same weights.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -27,11 +33,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tape
-from .attention import AttentionParams, init_attention_params, multi_head_attention
+from .attention import AttentionParams, attention_spec, multi_head_attention
 from .corpus import Batch
 from .ecdf import MODE_CONTINUOUS, MODE_DECILE
 from .errors import ConfigError, DataError, FormatError, VocabError
-from .tape import TapeTensor, embedding_init, glorot_uniform
+from .tape import TapeTensor, init_tensors
 
 CHECKPOINT_MAGIC = b"LBCP"
 CHECKPOINT_VERSION = 1
@@ -115,20 +121,12 @@ class BlockParams:
     ln2_gain: TapeTensor
     ln2_bias: TapeTensor
 
-    def named_tensors(self, prefix: str):
-        out = self.attn.named_tensors(prefix + "attn.")
-        out += [
-            (prefix + "ln1_gain", self.ln1_gain), (prefix + "ln1_bias", self.ln1_bias),
-            (prefix + "ff1_w", self.ff1_w), (prefix + "ff1_b", self.ff1_b),
-            (prefix + "ff2_w", self.ff2_w), (prefix + "ff2_b", self.ff2_b),
-            (prefix + "ln2_gain", self.ln2_gain), (prefix + "ln2_bias", self.ln2_bias),
-        ]
-        return out
-
 
 @dataclass
 class ModelParams:
+    """Typed fields for the forwards; `by_name` holds the same tensors in param_spec order."""
     config: ModelConfig
+    by_name: dict = field(repr=False)
     embedding: TapeTensor
     blocks: list
     head_w1: TapeTensor
@@ -147,89 +145,65 @@ class ModelParams:
     chead_b2: TapeTensor | None = None
 
     def named_tensors(self):
-        out = [("embedding", self.embedding)]
-        if self.config.mode == MODE_CONTINUOUS:
-            out += [
-                ("value_w", self.value_w), ("value_b", self.value_b),
-                ("vdense_w", self.vdense_w), ("vdense_b", self.vdense_b),
-                ("vln_gain", self.vln_gain), ("vln_bias", self.vln_bias),
-            ]
-        for i, blk in enumerate(self.blocks):
-            out += blk.named_tensors(f"block{i}.")
-        out += [
-            ("head_w1", self.head_w1), ("head_b1", self.head_b1),
-            ("head_w2", self.head_w2), ("head_b2", self.head_b2),
-        ]
-        if self.config.mode == MODE_CONTINUOUS:
-            out += [
-                ("chead_w1", self.chead_w1), ("chead_b1", self.chead_b1),
-                ("chead_w2", self.chead_w2), ("chead_b2", self.chead_b2),
-            ]
-        return out
+        return list(self.by_name.items())
 
     def tensors(self):
-        return [t for _, t in self.named_tensors()]
+        return list(self.by_name.values())
+
+
+def param_spec(config: ModelConfig) -> list:
+    """Every model parameter as (name, shape, init), in checkpoint and draw order."""
+    return [entry for group in _spec_groups(config).values() for entry in group]
+
+
+def _spec_groups(config: ModelConfig) -> dict:
+    """param_spec's entries in order, under count_params's breakdown groups."""
+    d, ff, w = config.d_model, config.ff_dim, config.head_width
+    cont = config.mode == MODE_CONTINUOUS
+    groups = {"embedding": [("embedding", (config.embed_rows, d), "normal")]}
+    if cont:
+        groups["continuous_embed"] = [
+            ("value_w", (1, d), "glorot"), ("value_b", (d,), "zeros"),
+            ("vdense_w", (d, d), "glorot"), ("vdense_b", (d,), "zeros"),
+            ("vln_gain", (d,), "ones"), ("vln_bias", (d,), "zeros")]
+    block = [("attn." + name, shape, init)
+             for name, shape, init in attention_spec(d, config.num_heads, config.key_dim)]
+    block += [("ln1_gain", (d,), "ones"), ("ln1_bias", (d,), "zeros"),
+              ("ff1_w", (d, ff), "glorot"), ("ff1_b", (ff,), "zeros"),
+              ("ff2_w", (ff, d), "glorot"), ("ff2_b", (d,), "zeros"),
+              ("ln2_gain", (d,), "ones"), ("ln2_bias", (d,), "zeros")]
+    groups["blocks"] = [(f"block{i}.{name}", shape, init)
+                        for i in range(config.num_layers) for name, shape, init in block]
+    groups["categorical_head"] = [("head_w1", (d, d), "glorot"), ("head_b1", (d,), "zeros"),
+                                  ("head_w2", (d, w), "glorot"), ("head_b2", (w,), "zeros")]
+    if cont:
+        wide = d + w
+        groups["continuous_head"] = [
+            ("chead_w1", (wide, wide), "glorot"), ("chead_b1", (wide,), "zeros"),
+            ("chead_w2", (wide, 1), "glorot"), ("chead_b2", (1,), "zeros")]
+    return groups
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Fresh trainable parameters: glorot-uniform denses, N(0, 0.02^2) embeddings."""
-    rng = np.random.default_rng(seed)
-    d = config.d_model
+    return _assemble_params(config, init_tensors(np.random.default_rng(seed), param_spec(config)))
 
-    def dense(fan_in, fan_out):
-        w = TapeTensor(glorot_uniform(rng, (fan_in, fan_out), fan_in, fan_out), trainable=True)
-        b = TapeTensor(np.zeros(fan_out), trainable=True)
-        return w, b
 
-    def ln_pair():
-        return (TapeTensor(np.ones(d), trainable=True),
-                TapeTensor(np.zeros(d), trainable=True))
+def _assemble_params(config: ModelConfig, tensors: dict) -> ModelParams:
+    """ModelParams over tensors keyed by param_spec name, in spec order."""
+    def fields(prefix):
+        return {n[len(prefix):]: t for n, t in tensors.items()
+                if n.startswith(prefix) and "." not in n[len(prefix):]}
 
-    embedding = TapeTensor(embedding_init(rng, (config.embed_rows, d)), trainable=True)
-
-    value_w = value_b = vdense_w = vdense_b = vln_gain = vln_bias = None
-    if config.mode == MODE_CONTINUOUS:
-        value_w, value_b = dense(1, d)
-        vdense_w, vdense_b = dense(d, d)
-        vln_gain, vln_bias = ln_pair()
-
-    blocks = []
-    for _ in range(config.num_layers):
-        attn = init_attention_params(rng, d, config.num_heads, config.key_dim)
-        ln1_gain, ln1_bias = ln_pair()
-        ff1_w, ff1_b = dense(d, config.ff_dim)
-        ff2_w, ff2_b = dense(config.ff_dim, d)
-        ln2_gain, ln2_bias = ln_pair()
-        blocks.append(BlockParams(attn, ln1_gain, ln1_bias, ff1_w, ff1_b,
-                                  ff2_w, ff2_b, ln2_gain, ln2_bias))
-
-    head_w1, head_b1 = dense(d, d)
-    head_w2, head_b2 = dense(d, config.head_width)
-
-    chead_w1 = chead_b1 = chead_w2 = chead_b2 = None
-    if config.mode == MODE_CONTINUOUS:
-        wide = d + config.head_width
-        chead_w1, chead_b1 = dense(wide, wide)
-        chead_w2, chead_b2 = dense(wide, 1)
-
-    return ModelParams(config, embedding, blocks, head_w1, head_b1, head_w2, head_b2,
-                       value_w, value_b, vdense_w, vdense_b, vln_gain, vln_bias,
-                       chead_w1, chead_b1, chead_w2, chead_b2)
+    blocks = [BlockParams(AttentionParams(**fields(f"block{i}.attn.")), **fields(f"block{i}."))
+              for i in range(config.num_layers)]
+    return ModelParams(config, tensors, blocks=blocks, **fields(""))
 
 
 def count_params(config: ModelConfig):
-    """(total, breakdown) computed from shapes alone; nothing is allocated."""
-    d, ff = config.d_model, config.ff_dim
-    hk = config.num_heads * config.key_dim
-    breakdown = {"embedding": config.embed_rows * d}
-    if config.mode == MODE_CONTINUOUS:
-        breakdown["continuous_embed"] = (1 * d + d) + (d * d + d) + 2 * d
-    per_block = (3 * (d * hk + hk) + (hk * d + d)) + 2 * d + (d * ff + ff) + (ff * d + d) + 2 * d
-    breakdown["blocks"] = config.num_layers * per_block
-    breakdown["categorical_head"] = (d * d + d) + (d * config.head_width + config.head_width)
-    if config.mode == MODE_CONTINUOUS:
-        wide = d + config.head_width
-        breakdown["continuous_head"] = (wide * wide + wide) + (wide * 1 + 1)
+    """(total, breakdown) summed over param_spec's shapes; nothing is allocated."""
+    breakdown = {group: sum(math.prod(shape) for _, shape, _ in entries)
+                 for group, entries in _spec_groups(config).items()}
     return sum(breakdown.values()), breakdown
 
 
@@ -401,84 +375,52 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint; a file that breaks the format raises FormatError."""
     with open(path, "rb") as fh:
-        head = fh.read(5)
+        head = fh.read(9)
         if len(head) < 5 or head[:4] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic {head[:4]!r})")
         if head[4] != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {head[4]}")
-        (mlen,) = struct.unpack("<I", fh.read(4))
+        if len(head) < 9:
+            raise FormatError(f"{path}: file ends inside the manifest length")
         try:
-            manifest = json.loads(fh.read(mlen).decode())
+            manifest = json.loads(fh.read(struct.unpack("<I", head[5:])[0]).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: corrupt manifest: {exc}") from None
         blob = fh.read()
 
-    config = ModelConfig.from_dict(manifest["config"])
-    dtype = np.dtype(manifest["dtype"])
-    tensors = {}
-    for ent in manifest["tensors"]:
-        start, n = ent["offset"], ent["nbytes"]
-        if start + n > len(blob):
-            raise FormatError(f"{path}: tensor {ent['name']!r} extends past end of file")
-        arr = np.frombuffer(blob[start : start + n], dtype=dtype).reshape(ent["shape"])
-        tensors[ent["name"]] = TapeTensor(arr.copy(), trainable=True, name=ent["name"])
-
-    for name, shape in _expected_shapes(config):
-        if name not in tensors:
-            raise FormatError(f"{path}: checkpoint is missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise FormatError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                              f"expected {shape}")
+    # A missing key or a wrong type anywhere in the manifest is a format fault too.
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+        dtype = manifest["dtype"]
+        if dtype not in ("<f8", "<f4"):
+            raise FormatError(f"{path}: unsupported dtype {dtype!r}, expected '<f8' or '<f4'")
+        spec = {name: shape for name, shape, _ in param_spec(config)}
+        entries = {}
+        for ent in manifest["tensors"]:
+            if ent["name"] not in spec or ent["name"] in entries:
+                raise FormatError(f"{path}: checkpoint has unexpected tensor {ent['name']!r}")
+            entries[ent["name"]] = ent
+        tensors, offset = {}, 0
+        for name, shape in spec.items():
+            if name not in entries:
+                raise FormatError(f"{path}: checkpoint is missing tensor {name!r}")
+            ent, size = entries[name], math.prod(shape)
+            if tuple(ent["shape"]) != shape:
+                raise FormatError(f"{path}: tensor {name!r} has shape {tuple(ent['shape'])}, "
+                                  f"expected {shape}")
+            # save_checkpoint packs tensors back to back in spec order, so
+            # any other offset means overlapping or misplaced bytes.
+            start, n = ent["offset"], ent["nbytes"]
+            if start != offset or n != size * np.dtype(dtype).itemsize:
+                raise FormatError(f"{path}: tensor {name!r} has offset {start} and {n} bytes, "
+                                  f"expected offset {offset} and {size} {dtype} values")
+            if start + n > len(blob):
+                raise FormatError(f"{path}: tensor {name!r} extends past end of file")
+            arr = np.frombuffer(blob, dtype=dtype, count=size, offset=start).reshape(shape)
+            tensors[name] = TapeTensor(arr.copy(), trainable=True, name=name)
+            offset += n
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise FormatError(f"{path}: bad manifest: {exc!r}") from None
     return _assemble_params(config, tensors)
-
-
-def _expected_shapes(config: ModelConfig):
-    d, ff = config.d_model, config.ff_dim
-    hk = config.num_heads * config.key_dim
-    out = [("embedding", (config.embed_rows, d))]
-    if config.mode == MODE_CONTINUOUS:
-        out += [("value_w", (1, d)), ("value_b", (d,)),
-                ("vdense_w", (d, d)), ("vdense_b", (d,)),
-                ("vln_gain", (d,)), ("vln_bias", (d,))]
-    for i in range(config.num_layers):
-        p = f"block{i}."
-        out += [(p + "attn.wq", (d, hk)), (p + "attn.bq", (hk,)),
-                (p + "attn.wk", (d, hk)), (p + "attn.bk", (hk,)),
-                (p + "attn.wv", (d, hk)), (p + "attn.bv", (hk,)),
-                (p + "attn.wo", (hk, d)), (p + "attn.bo", (d,)),
-                (p + "ln1_gain", (d,)), (p + "ln1_bias", (d,)),
-                (p + "ff1_w", (d, ff)), (p + "ff1_b", (ff,)),
-                (p + "ff2_w", (ff, d)), (p + "ff2_b", (d,)),
-                (p + "ln2_gain", (d,)), (p + "ln2_bias", (d,))]
-    w = config.head_width
-    out += [("head_w1", (d, d)), ("head_b1", (d,)),
-            ("head_w2", (d, w)), ("head_b2", (w,))]
-    if config.mode == MODE_CONTINUOUS:
-        wide = d + w
-        out += [("chead_w1", (wide, wide)), ("chead_b1", (wide,)),
-                ("chead_w2", (wide, 1)), ("chead_b2", (1,))]
-    return out
-
-
-def _assemble_params(config: ModelConfig, tensors: dict[str, TapeTensor]) -> ModelParams:
-    def g(name):
-        return tensors[name]
-
-    blocks = []
-    for i in range(config.num_layers):
-        p = f"block{i}."
-        attn = AttentionParams(
-            g(p + "attn.wq"), g(p + "attn.bq"), g(p + "attn.wk"), g(p + "attn.bk"),
-            g(p + "attn.wv"), g(p + "attn.bv"), g(p + "attn.wo"), g(p + "attn.bo"),
-        )
-        blocks.append(BlockParams(attn, g(p + "ln1_gain"), g(p + "ln1_bias"),
-                                  g(p + "ff1_w"), g(p + "ff1_b"), g(p + "ff2_w"), g(p + "ff2_b"),
-                                  g(p + "ln2_gain"), g(p + "ln2_bias")))
-    kw = {}
-    if config.mode == MODE_CONTINUOUS:
-        kw = {k: g(k) for k in ("value_w", "value_b", "vdense_w", "vdense_b",
-                                "vln_gain", "vln_bias",
-                                "chead_w1", "chead_b1", "chead_w2", "chead_b2")}
-    return ModelParams(config, g("embedding"), blocks,
-                       g("head_w1"), g("head_b1"), g("head_w2"), g("head_b2"), **kw)

@@ -193,11 +193,6 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
-
-
 def backward(loss: TapeTensor) -> None:
     """Reverse sweep from a scalar loss, accumulating .grad on the way down."""
     if loss.size != 1:
@@ -575,5 +570,19 @@ def glorot_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape).astype(_DEFAULT_DTYPE)
 
 
-def embedding_init(rng, shape, std: float = 0.02) -> np.ndarray:
-    return rng.normal(0.0, std, size=shape).astype(_DEFAULT_DTYPE)
+_INITS = {
+    "glorot": lambda rng, shape: glorot_uniform(rng, shape, *shape),
+    "normal": lambda rng, shape: rng.normal(0.0, 0.02, size=shape),
+    "zeros": lambda rng, shape: np.zeros(shape),
+    "ones": lambda rng, shape: np.ones(shape),
+}
+
+
+def init_tensors(rng, spec) -> dict:
+    """Fresh trainable tensors for a spec of (name, shape, init), keyed by name.
+
+    init is a key of _INITS; "glorot" takes a (fan_in, fan_out) shape. Only
+    "glorot" and "normal" draw from rng, in spec order, so a spec fixes the draws.
+    """
+    return {name: TapeTensor(_INITS[init](rng, shape), trainable=True, name=name)
+            for name, shape, init in spec}

@@ -4,7 +4,11 @@ Each computation is checked against a straight-line numpy oracle written
 independently of the tape implementation.
 """
 
+import hashlib
+import json
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from labmlm import model, tape
 from labmlm.corpus import Batch, LabBag, mask_bag, pad_batch
 from labmlm.errors import ConfigError, DataError, FormatError, VocabError
+from labmlm.finetune import init_finetune_head
 from labmlm.model import (
     ModelConfig,
     backbone_forward,
@@ -25,6 +30,7 @@ from labmlm.model import (
     forward_decile,
     init_params,
     load_checkpoint,
+    param_spec,
     save_checkpoint,
 )
 from labmlm.optim import AdamState, adam_step
@@ -530,7 +536,10 @@ class TestCountParams:
         for cfg in (tiny_config(num_layers=3),
                     tiny_config(mode="decile", vocab_size=34, num_layers=2)):
             total, _ = count_params(cfg)
-            assert total == count_params_instance(init_params(cfg, seed=0))
+            params = init_params(cfg, seed=0)
+            assert total == count_params_instance(params)
+            assert ([(name, shape) for name, shape, _ in param_spec(cfg)]
+                    == [(name, t.shape) for name, t in params.named_tensors()])
 
     def test_reference_scale_decile_count(self):
         # 372 numeric codes * 11 + 157 binary + 1 mask = 4250 assigned tokens;
@@ -539,6 +548,73 @@ class TestCountParams:
         total, breakdown = count_params(cfg)
         assert breakdown["embedding"] == 4251 * 1024
         assert total == 72_775_834
+
+
+class TestGoldenInit:
+    """Fresh inits pinned by digest.
+
+    Old checkpoints load only while every parameter keeps its name and shape,
+    and a seed reproduces a run only while the random draws keep their order.
+    """
+
+    @pytest.mark.parametrize("mode, vocab_size, layers, digest", [
+        ("continuous", 12, 0, "50d614694539850c70b682bd3e05a69c583a6ebd2bfa0b8aa73dbe7fd8918669"),
+        ("continuous", 12, 2, "a9e781e710c4bc43ed90506ee357d36a179c72180788aa16185cb9802f2bb880"),
+        ("decile", 23, 0, "8994893c260dd5914ce382d0ca7113e4c4d34aaedfa85e0c304c035dc4160dd8"),
+        ("decile", 23, 2, "8e5b3e4b978a2dbb0fd64030de06e4fd6c592c426370a3c1ffc0d95f709ef630"),
+    ])
+    def test_checkpoint_bytes(self, tmp_path, mode, vocab_size, layers, digest):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(tiny_config(mode, vocab_size, num_layers=layers), seed=3))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode, vocab_size, layers, expected", [
+        ("continuous", 12, 0, {"embedding": 104, "continuous_embed": 104, "blocks": 0,
+                               "categorical_head": 162, "continuous_head": 361}),
+        ("continuous", 12, 2, {"embedding": 104, "continuous_embed": 104, "blocks": 1760,
+                               "categorical_head": 162, "continuous_head": 361}),
+        ("decile", 23, 0, {"embedding": 192, "blocks": 0, "categorical_head": 279}),
+        ("decile", 23, 2, {"embedding": 192, "blocks": 1200, "categorical_head": 279}),
+    ])
+    def test_count_params(self, mode, vocab_size, layers, expected):
+        total, breakdown = count_params(tiny_config(mode, vocab_size, num_layers=layers))
+        assert breakdown == expected
+        assert list(breakdown) == list(expected)
+        assert total == sum(expected.values())
+
+    @pytest.mark.parametrize("task, n_extra, digest", [
+        ("binary", 0, "2d1a578a2a90f5cf5457ca8447fa3bd52039dfc85c475047dc98c0781857dd91"),
+        ("binary", 3, "7d8bb3dd76b61ba7dd17da057734139cc9b3483dbccdcc4942c5d309bab79184"),
+        ("multiclass", 0, "cd1643e8f9e7b5f6aa5bec6eb4a0aaa89359ee3302bc1065346284a249285e92"),
+        ("multiclass", 3, "2ae2e3b761bf53d14b74ef23996fbc004b877fe0e8fb1ac3747955f358c90f72"),
+        ("regression", 0, "2d1a578a2a90f5cf5457ca8447fa3bd52039dfc85c475047dc98c0781857dd91"),
+        ("regression", 3, "7d8bb3dd76b61ba7dd17da057734139cc9b3483dbccdcc4942c5d309bab79184"),
+    ])
+    def test_finetune_head(self, task, n_extra, digest):
+        head = init_finetune_head(np.random.default_rng(4), 8, n_extra, task, n_classes=3)
+        h = hashlib.sha256()
+        for t in head.tensors():
+            h.update(str(t.shape).encode())
+            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+
+
+def _edit_manifest(edit):
+    """A checkpoint-bytes rewrite that applies `edit` to the parsed manifest."""
+    def rewrite(raw):
+        (mlen,) = struct.unpack("<I", raw[5:9])
+        manifest = json.loads(raw[9 : 9 + mlen])
+        edit(manifest)
+        new = json.dumps(manifest).encode()
+        return raw[:5] + struct.pack("<I", len(new)) + new + raw[9 + mlen :]
+    return rewrite
+
+
+def _set(key, value, index=0):
+    """An edit that sets one field of the index-th tensor entry."""
+    def edit(m):
+        m["tensors"][index][key] = value
+    return edit
 
 
 class TestCheckpoints:
@@ -622,4 +698,34 @@ class TestCheckpoints:
         raw[4] = 9
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("rewrite, match", [
+        (_edit_manifest(lambda m: m.update(dtype="<i8")), "unsupported dtype '<i8'"),
+        (_edit_manifest(lambda m: m.update(dtype="|O")), "unsupported dtype '|O'"),
+        (_edit_manifest(lambda m: m["tensors"].append(
+            {"name": "block7.ff1_w", "shape": [8, 16], "offset": 0, "nbytes": 1024})),
+         "unexpected tensor 'block7.ff1_w'"),
+        (_edit_manifest(lambda m: m["tensors"].append(dict(m["tensors"][0]))),
+         "unexpected tensor 'embedding'"),
+        (_edit_manifest(lambda m: m["tensors"].pop()), "missing tensor 'chead_b2'"),
+        (_edit_manifest(_set("shape", [26, 4])), "has shape"),
+        (_edit_manifest(_set("nbytes", 96 * 8)), "and 768 bytes"),
+        (_edit_manifest(_set("offset", -8, index=1)), "offset -8"),
+        (_edit_manifest(_set("offset", 0, index=1)), "'value_w' has offset 0"),
+        (_edit_manifest(_set("shape", 104)), "bad manifest"),
+        (_edit_manifest(lambda m: m.pop("config")), "bad manifest"),
+        (_edit_manifest(lambda m: m["config"].update(depth=3)), "bad manifest"),
+        (_edit_manifest(lambda m: m["config"].update(vocab_size=1)), "bad manifest"),
+        (_edit_manifest(lambda m: m["tensors"][0].pop("name")), "bad manifest"),
+        (lambda raw: raw[:7], "manifest length"),
+    ], ids=["int-dtype", "object-dtype", "extra-tensor", "duplicate-tensor",
+            "missing-tensor", "wrong-shape", "nbytes-disagree", "negative-offset",
+            "overlapping-offset", "scalar-shape", "no-config", "unknown-config-key",
+            "bad-config-value", "nameless-entry", "cut-in-length"])
+    def test_malformed_file_raises_format_error(self, tmp_path, rewrite, match):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(tiny_config(), seed=31))
+        path.write_bytes(rewrite(path.read_bytes()))
+        with pytest.raises(FormatError, match=re.escape(match)):
             load_checkpoint(path)

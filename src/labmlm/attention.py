@@ -70,9 +70,9 @@ def multi_head_attention(
         t = tape.reshape(t, (b, length, num_heads, key_dim))
         return tape.swapaxes(t, 1, 2)
 
-    q = split_heads(tape.matmul(x, params.wq) + params.bq)
-    k = split_heads(tape.matmul(x, params.wk) + params.bk)
-    v = split_heads(tape.matmul(x, params.wv) + params.bv)
+    q = split_heads(tape.linear(x, params.wq, params.bq))
+    k = split_heads(tape.linear(x, params.wk, params.bk))
+    v = split_heads(tape.linear(x, params.wv, params.bv))
 
     scores = tape.matmul(q, tape.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(key_dim))
     if pad_mask is not None and pad_mask.any():
@@ -82,7 +82,7 @@ def multi_head_attention(
 
     ctx = tape.matmul(weights, v)
     ctx = tape.reshape(tape.swapaxes(ctx, 1, 2), (b, length, num_heads * key_dim))
-    out = tape.matmul(ctx, params.wo) + params.bo
+    out = tape.linear(ctx, params.wo, params.bo)
     if pad_mask is not None and pad_mask.any():
         out = out * (~pad_mask).astype(out.data.dtype)[:, :, None]
     return out

@@ -229,19 +229,21 @@ def mask_bag(bag: LabBag, mask_token: int, rng, n_mask: int = 1, positions=None)
     if not 1 <= n_mask <= L:
         raise ContractError(f"n_mask must be in [1, {L}], got {n_mask}")
     if positions is None:
-        positions = rng.choice(L, size=n_mask, replace=False)
-    positions = np.sort(np.asarray(positions, dtype=np.int64))
-    if positions.size != n_mask or np.unique(positions).size != n_mask:
-        raise ContractError("mask positions must be distinct")
-    if positions.size and (positions[0] < 0 or positions[-1] >= L):
-        raise ContractError(f"mask position out of range [0, {L})")
+        # Distinct and in range by construction.
+        positions = np.sort(rng.choice(L, size=n_mask, replace=False))
+    else:
+        positions = np.sort(np.asarray(positions, dtype=np.int64))
+        if positions.size != n_mask or np.any(positions[1:] == positions[:-1]):
+            raise ContractError("mask positions must be distinct")
+        if positions.size and (positions[0] < 0 or positions[-1] >= L):
+            raise ContractError(f"mask position out of range [0, {L})")
 
     tokens = bag.tokens.copy()
     values = bag.values.copy()
     nulls = bag.null_flags.copy()
-    truth_tokens = tokens[positions].copy()
-    truth_values = values[positions].copy()
-    truth_nulls = nulls[positions].copy()
+    truth_tokens = tokens[positions]
+    truth_values = values[positions]
+    truth_nulls = nulls[positions]
     tokens[positions] = mask_token
     values[positions] = 0.0
     nulls[positions] = False

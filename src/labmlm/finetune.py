@@ -23,7 +23,7 @@ import csv
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -169,9 +169,10 @@ def pool_embeddings(base: ModelParams, bags, batch_size: int = 128) -> np.ndarra
 
 @dataclass
 class FinetuneHead:
+    """A task head; its tensor fields are named and ordered as init_finetune_head's spec."""
     task_kind: str
-    extra_w: TapeTensor | None
-    extra_b: TapeTensor | None
+    extra_w: TapeTensor | None = field(default=None, kw_only=True)
+    extra_b: TapeTensor | None = field(default=None, kw_only=True)
     dense_w: TapeTensor
     dense_b: TapeTensor
     out_w: TapeTensor
@@ -182,13 +183,17 @@ class FinetuneHead:
         """True when every tensor carries a leading member axis."""
         return self.dense_w.ndim == 3
 
+    def named_tensors(self):
+        """(name, tensor) in field order, without the absent extras."""
+        return [(f.name, t) for f in fields(self)
+                if isinstance(t := getattr(self, f.name), TapeTensor)]
+
     def tensors(self):
-        """Weights and biases alternating: every odd entry is a bias."""
-        out = []
-        if self.extra_w is not None:
-            out += [self.extra_w, self.extra_b]
-        out += [self.dense_w, self.dense_b, self.out_w, self.out_b]
-        return out
+        return [t for _, t in self.named_tensors()]
+
+
+def _is_bias(name: str) -> bool:
+    return name.endswith("_b")
 
 
 def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2) -> FinetuneHead:
@@ -203,15 +208,7 @@ def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2) -> Finetun
         width += n_extra
     spec += [("dense_w", (width, width), "glorot"), ("dense_b", (width,), "zeros"),
              ("out_w", (width, out_dim), "glorot"), ("out_b", (out_dim,), "zeros")]
-    tensors = init_tensors(rng, spec)
-    return FinetuneHead(task_kind, tensors.pop("extra_w", None), tensors.pop("extra_b", None),
-                        **tensors)
-
-
-def _with_tensors(like: FinetuneHead, tensors) -> FinetuneHead:
-    it = iter(tensors)
-    extra = (next(it), next(it)) if like.extra_w is not None else (None, None)
-    return FinetuneHead(like.task_kind, *extra, *it)
+    return FinetuneHead(task_kind, **init_tensors(rng, spec))
 
 
 def stack_heads(heads) -> FinetuneHead:
@@ -220,18 +217,18 @@ def stack_heads(heads) -> FinetuneHead:
     Weights become (M, fan_in, fan_out) and biases (M, 1, fan_out), so a
     bias broadcasts over each member's batch rows.
     """
-    stacked = []
-    for i, group in enumerate(zip(*(h.tensors() for h in heads))):
-        data = np.stack([t.data for t in group])
-        stacked.append(TapeTensor(data[:, None, :] if i % 2 else data, trainable=True))
-    return _with_tensors(heads[0], stacked)
+    stacked = {}
+    for name, _ in heads[0].named_tensors():
+        data = np.stack([getattr(h, name).data for h in heads])
+        stacked[name] = TapeTensor(data[:, None, :] if _is_bias(name) else data, trainable=True)
+    return replace(heads[0], **stacked)
 
 
 def unstack_heads(stack: FinetuneHead) -> list:
     """One head per member whose tensors view the stack's arrays."""
-    return [_with_tensors(stack, [TapeTensor(t.data[m, 0] if i % 2 else t.data[m],
-                                             trainable=True)
-                                  for i, t in enumerate(stack.tensors())])
+    return [replace(stack, **{name: TapeTensor(t.data[m, 0] if _is_bias(name) else t.data[m],
+                                               trainable=True)
+                              for name, t in stack.named_tensors()})
             for m in range(stack.dense_w.shape[0])]
 
 

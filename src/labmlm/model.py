@@ -239,9 +239,9 @@ def continuous_embed(values, token_embeddings, null_flags: np.ndarray,
         raise DataError("value outside [0, 1] at a non-null position")
     if not isinstance(values, TapeTensor):
         values = TapeTensor(vals_data)
-    proj = tape.matmul(tape.reshape(values, (*vals_data.shape, 1)), params.value_w) + params.value_b
+    proj = tape.linear(tape.reshape(values, (*vals_data.shape, 1)), params.value_w, params.value_b)
     x = proj + token_embeddings
-    x = tape.relu(tape.matmul(x, params.vdense_w) + params.vdense_b)
+    x = tape.relu(tape.linear(x, params.vdense_w, params.vdense_b))
     return tape.layer_norm(x, params.vln_gain, params.vln_bias)
 
 
@@ -255,7 +255,7 @@ def backbone_forward(x, pad_mask, params: ModelParams, training: bool = False,
         a = multi_head_attention(x, blk.attn, cfg.num_heads, cfg.key_dim, pad_mask)
         a = tape.dropout(a, cfg.dropout_rate, rng, training)
         x = tape.layer_norm(x + a, blk.ln1_gain, blk.ln1_bias)
-        f = tape.matmul(tape.relu(tape.matmul(x, blk.ff1_w) + blk.ff1_b), blk.ff2_w) + blk.ff2_b
+        f = tape.linear(tape.relu(tape.linear(x, blk.ff1_w, blk.ff1_b)), blk.ff2_w, blk.ff2_b)
         f = tape.dropout(f, cfg.dropout_rate, rng, training)
         x = tape.layer_norm(x + f, blk.ln2_gain, blk.ln2_bias)
     return x
@@ -263,16 +263,16 @@ def backbone_forward(x, pad_mask, params: ModelParams, training: bool = False,
 
 def categorical_head(h, params: ModelParams) -> TapeTensor:
     """ReLU dense then softmax; rows are probability vectors."""
-    z = tape.relu(tape.matmul(h, params.head_w1) + params.head_b1)
-    logits = tape.matmul(z, params.head_w2) + params.head_b2
+    z = tape.relu(tape.linear(h, params.head_w1, params.head_b1))
+    logits = tape.linear(z, params.head_w2, params.head_b2)
     return tape.softmax(logits, axis=-1)
 
 
 def continuous_head(h, probs, params: ModelParams) -> TapeTensor:
     """Sigmoid value prediction from final embeddings joined with code probs."""
     z = tape.concat([h, probs], axis=-1)
-    z = tape.relu(tape.matmul(z, params.chead_w1) + params.chead_b1)
-    out = tape.sigmoid(tape.matmul(z, params.chead_w2) + params.chead_b2)
+    z = tape.relu(tape.linear(z, params.chead_w1, params.chead_b1))
+    out = tape.sigmoid(tape.linear(z, params.chead_w2, params.chead_b2))
     return tape.reshape(out, out.shape[:-1])
 
 

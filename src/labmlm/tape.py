@@ -5,6 +5,16 @@ every op appends a backward closure to it; ``backward(loss)`` replays the tape
 in reverse and accumulates gradients into each input tensor's ``.grad``. Ops
 executed with no active tape run untracked, which is the inference path.
 
+Dense layers and layer norms are fused primitives, one node each.
+``linear(x, w, b)`` takes its weight gradient as one 2-D GEMM over the rows
+of ``x``; ``layer_norm`` has the analytic backward (Ba et al. 2016) and keeps
+the forward op sequence of the composite it replaced, bit for bit. The four
+gathers share one fancy-index forward and one ``np.add.at`` backward.
+
+A tensor's first gradient is written into a fresh buffer laid out like
+``t.data`` (a gradient in another layout would reach later GEMMs in that
+layout, which BLAS rounds differently); later gradients add in place.
+
 Each tape supports one ``backward()``. The sweep releases every record as it
 consumes it, so a step's activations, closures and intermediate gradients are
 freed by refcount during the sweep rather than by the cyclic GC; a second
@@ -19,6 +29,7 @@ meaningful; ``set_default_dtype(np.float32)`` switches the fast path.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -127,7 +138,7 @@ class TapeTensor:
         return neg(self)
 
     def __sub__(self, other):
-        return add(self, _neg_const(other))
+        return add(self, neg(other) if isinstance(other, TapeTensor) else -_data(other))
 
     def __rsub__(self, other):
         return add(neg(self), other)
@@ -162,12 +173,6 @@ class TapeTensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
-def _neg_const(x):
-    if isinstance(x, TapeTensor):
-        return neg(x)
-    return -np.asarray(x, dtype=_DEFAULT_DTYPE)
-
-
 def _data(x):
     if isinstance(x, TapeTensor):
         return x.data
@@ -178,8 +183,9 @@ def _accumulate(t, g):
     if not isinstance(t, TapeTensor):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -231,12 +237,17 @@ def add(a, b) -> TapeTensor:
     return out
 
 
-def neg(a) -> TapeTensor:
-    out = TapeTensor(-_data(a))
+def _unary(a, y, grad) -> TapeTensor:
+    """Record y = f(a); backward sends grad(g) to a."""
+    out = TapeTensor(y)
     tape = _active_tape()
     if tape is not None:
-        tape._add(out, lambda g: _accumulate(a, -g))
+        tape._add(out, lambda g: _accumulate(a, grad(g)))
     return out
+
+
+def neg(a) -> TapeTensor:
+    return _unary(a, -_data(a), lambda g: -g)
 
 
 def mul(a, b) -> TapeTensor:
@@ -291,37 +302,52 @@ def matmul(a, b) -> TapeTensor:
     return out
 
 
-def relu(a) -> TapeTensor:
-    da = _data(a)
-    out = TapeTensor(np.maximum(da, 0.0))
-    tape = _active_tape()
-    if tape is not None:
-        keep = (da > 0).astype(da.dtype)
-        tape._add(out, lambda g: _accumulate(a, g * keep))
-    return out
-
-
-def sigmoid(a) -> TapeTensor:
-    da = _data(a)
-    with np.errstate(over="ignore"):
-        y = np.where(da >= 0, 1.0 / (1.0 + np.exp(-da)), np.exp(da) / (1.0 + np.exp(da)))
+def linear(x, w, b) -> TapeTensor:
+    """x @ w + b for x [..., d_in], a (d_in, d_out) weight and a (d_out,) bias."""
+    dx, dw, db = _data(x), _data(w), _data(b)
+    if dw.ndim != 2 or db.shape != dw.shape[1:]:
+        raise DimensionError(f"linear needs a 2-d weight and a (d_out,) bias, "
+                             f"got weight {dw.shape} and bias {db.shape}")
+    if dx.ndim < 1 or dx.shape[-1] != dw.shape[0]:
+        raise DimensionError(f"linear input {dx.shape} does not match weight {dw.shape}")
+    y = dx @ dw
+    y += db
     out = TapeTensor(y)
     tape = _active_tape()
     if tape is not None:
-        tape._add(out, lambda g: _accumulate(a, g * y * (1.0 - y)))
+
+        def bwd(g):
+            if isinstance(x, TapeTensor):
+                _accumulate(x, g @ dw.T)
+            rows = g.reshape(-1, g.shape[-1])
+            if isinstance(w, TapeTensor):
+                _accumulate(w, dx.reshape(-1, dw.shape[0]).T @ rows)
+            if isinstance(b, TapeTensor):
+                _accumulate(b, rows.sum(axis=0))
+
+        tape._add(out, bwd)
     return out
+
+
+def relu(a) -> TapeTensor:
+    da = _data(a)
+    return _unary(a, np.maximum(da, 0.0), lambda g: g * (da > 0).astype(da.dtype))
+
+
+def _sigmoid(da):
+    with np.errstate(over="ignore"):
+        return np.where(da >= 0, 1.0 / (1.0 + np.exp(-da)), np.exp(da) / (1.0 + np.exp(da)))
+
+
+def sigmoid(a) -> TapeTensor:
+    y = _sigmoid(_data(a))
+    return _unary(a, y, lambda g: g * y * (1.0 - y))
 
 
 def softplus(a) -> TapeTensor:
     """log(1 + exp(a)) computed without overflow; gradient is sigmoid(a)."""
     da = _data(a)
-    out = TapeTensor(np.logaddexp(0.0, da))
-    tape = _active_tape()
-    if tape is not None:
-        with np.errstate(over="ignore"):
-            s = np.where(da >= 0, 1.0 / (1.0 + np.exp(-da)), np.exp(da) / (1.0 + np.exp(da)))
-        tape._add(out, lambda g: _accumulate(a, g * s))
-    return out
+    return _unary(a, np.logaddexp(0.0, da), lambda g: g * _sigmoid(da))
 
 
 def log_softmax(a, axis: int = -1) -> TapeTensor:
@@ -331,67 +357,34 @@ def log_softmax(a, axis: int = -1) -> TapeTensor:
         raise NumericError("log_softmax input contains non-finite values")
     shifted = da - da.max(axis=axis, keepdims=True)
     y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = TapeTensor(y)
-    tape = _active_tape()
-    if tape is not None:
-        p = np.exp(y)
-        tape._add(out, lambda g: _accumulate(a, g - p * g.sum(axis=axis, keepdims=True)))
-    return out
+    return _unary(a, y, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
 
 def exp(a) -> TapeTensor:
     y = np.exp(_data(a))
-    out = TapeTensor(y)
-    tape = _active_tape()
-    if tape is not None:
-        tape._add(out, lambda g: _accumulate(a, g * y))
-    return out
+    return _unary(a, y, lambda g: g * y)
 
 
 def log(a) -> TapeTensor:
     da = _data(a)
-    out = TapeTensor(np.log(da))
-    tape = _active_tape()
-    if tape is not None:
-        tape._add(out, lambda g: _accumulate(a, g / da))
-    return out
+    return _unary(a, np.log(da), lambda g: g / da)
 
 
 def sqrt(a) -> TapeTensor:
     y = np.sqrt(_data(a))
-    out = TapeTensor(y)
-    tape = _active_tape()
-    if tape is not None:
-        tape._add(out, lambda g: _accumulate(a, g / (2.0 * y)))
-    return out
+    return _unary(a, y, lambda g: g / (2.0 * y))
 
 
 def tsum(a, axis=None, keepdims=False) -> TapeTensor:
-    da = _data(a)
-    out = TapeTensor(da.sum(axis=axis, keepdims=keepdims))
-    tape = _active_tape()
-    if tape is not None:
-        shape = da.shape
-
-        def bwd(g):
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            _accumulate(a, np.broadcast_to(gg, shape).copy())
-
-        tape._add(out, bwd)
-    return out
+    # _accumulate broadcasts the gradient back over the summed axes.
+    expand = axis is not None and not keepdims
+    return _unary(a, _data(a).sum(axis=axis, keepdims=keepdims),
+                  lambda g: np.expand_dims(g, axis) if expand else g)
 
 
 def tmean(a, axis=None, keepdims=False) -> TapeTensor:
     da = _data(a)
-    if axis is None:
-        count = da.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= da.shape[ax]
+    count = da.size if axis is None else math.prod(da.shape[ax] for ax in np.atleast_1d(axis))
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
@@ -417,20 +410,11 @@ def softmax(a, axis: int = -1) -> TapeTensor:
 
 def reshape(a, shape) -> TapeTensor:
     da = _data(a)
-    out = TapeTensor(da.reshape(shape))
-    tape = _active_tape()
-    if tape is not None:
-        orig = da.shape
-        tape._add(out, lambda g: _accumulate(a, g.reshape(orig)))
-    return out
+    return _unary(a, da.reshape(shape), lambda g: g.reshape(da.shape))
 
 
 def swapaxes(a, ax1: int, ax2: int) -> TapeTensor:
-    out = TapeTensor(_data(a).swapaxes(ax1, ax2))
-    tape = _active_tape()
-    if tape is not None:
-        tape._add(out, lambda g: _accumulate(a, g.swapaxes(ax1, ax2)))
-    return out
+    return _unary(a, _data(a).swapaxes(ax1, ax2), lambda g: g.swapaxes(ax1, ax2))
 
 
 def concat(parts, axis: int = -1) -> TapeTensor:
@@ -449,64 +433,39 @@ def concat(parts, axis: int = -1) -> TapeTensor:
     return out
 
 
-def embedding_lookup(table, ids) -> TapeTensor:
-    """Rows of `table` selected by an integer array; gradient scatter-adds."""
-    ids = np.asarray(ids)
-    dt = _data(table)
-    if ids.size and (ids.min() < 0 or ids.max() >= dt.shape[0]):
-        raise VocabError(
-            f"embedding id out of range [0, {dt.shape[0]}): min={ids.min()}, max={ids.max()}"
-        )
-    out = TapeTensor(dt[ids])
+def _gather(a, index) -> TapeTensor:
+    """a[index] for a numpy fancy index; the gradient scatter-adds back."""
+    out = TapeTensor(_data(a)[index])
     tape = _active_tape()
     if tape is not None:
 
         def bwd(g):
-            if isinstance(table, TapeTensor):
-                if table.grad is None:
-                    table.grad = np.zeros_like(table.data)
-                np.add.at(table.grad, ids, g)
+            if isinstance(a, TapeTensor):
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.data)
+                np.add.at(a.grad, index, g)
 
         tape._add(out, bwd)
     return out
+
+
+def embedding_lookup(table, ids) -> TapeTensor:
+    """Rows of `table` selected by an integer array; gradient scatter-adds."""
+    ids = np.asarray(ids)
+    n = _data(table).shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise VocabError(f"embedding id out of range [0, {n}): min={ids.min()}, max={ids.max()}")
+    return _gather(table, ids)
 
 
 def permute_l(a, perm) -> TapeTensor:
     """Reorder axis 1 of a [b, L, ...] tensor row-wise: out[i, l] = a[i, perm[i, l]]."""
-    da = _data(a)
-    perm = np.asarray(perm)
-    rows = np.arange(da.shape[0])[:, None]
-    out = TapeTensor(da[rows, perm])
-    tape = _active_tape()
-    if tape is not None:
-
-        def bwd(g):
-            if isinstance(a, TapeTensor):
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                np.add.at(a.grad, (rows, perm), g)
-
-        tape._add(out, bwd)
-    return out
+    return _gather(a, (np.arange(_data(a).shape[0])[:, None], np.asarray(perm)))
 
 
 def take_bl(a, rows, cols) -> TapeTensor:
     """Gather positions from a [b, L, ...] tensor: out[n] = a[rows[n], cols[n]]."""
-    da = _data(a)
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    out = TapeTensor(da[rows, cols])
-    tape = _active_tape()
-    if tape is not None:
-
-        def bwd(g):
-            if isinstance(a, TapeTensor):
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                np.add.at(a.grad, (rows, cols), g)
-
-        tape._add(out, bwd)
-    return out
+    return _gather(a, (np.asarray(rows), np.asarray(cols)))
 
 
 def take_along_last(a, ids) -> TapeTensor:
@@ -515,21 +474,8 @@ def take_along_last(a, ids) -> TapeTensor:
     `ids` has the shape of `a` without its last axis, e.g. [n] for an [n, V]
     tensor or [M, n] for [M, n, V].
     """
-    da = _data(a)
     ids = np.asarray(ids)
-    rows = (*np.indices(ids.shape, sparse=True), ids)
-    out = TapeTensor(da[rows])
-    tape = _active_tape()
-    if tape is not None:
-
-        def bwd(g):
-            if isinstance(a, TapeTensor):
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                np.add.at(a.grad, rows, g)
-
-        tape._add(out, bwd)
-    return out
+    return _gather(a, (*np.indices(ids.shape, sparse=True), ids))
 
 
 def dropout(a, rate: float, rng, training: bool) -> TapeTensor:
@@ -548,17 +494,48 @@ def dropout(a, rate: float, rng, training: bool) -> TapeTensor:
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> TapeTensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    da = _data(a)
-    if da.shape[-1] < 1:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    gain and bias have shape (d,) for an input [..., d]. One node with the
+    analytic backward. The forward's op order (sum times 1/n, a + -mu, squared
+    sum times 1/n, sqrt(var + eps), divide, scale, shift) is what fixes its
+    output bits; reordering it changes them.
+    """
+    da, dg, db = _data(a), _data(gain), _data(bias)
+    d = da.shape[-1] if da.ndim else 0
+    if d < 1:
         raise ConfigError("layer_norm needs a non-empty last axis")
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    mu = tmean(a, axis=-1, keepdims=True)
-    centered = add(a, neg(mu))
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    std = sqrt(add(var, np.full_like(var.data, eps)))
-    return add(mul(div(centered, std), gain), bias)
+    if dg.shape != (d,) or db.shape != (d,):
+        raise DimensionError(f"layer_norm gain {dg.shape} and bias {db.shape} must both "
+                             f"have shape ({d},) for input {da.shape}")
+    inv_n = _data(1.0 / d)
+    xhat = da + -(da.sum(axis=-1, keepdims=True) * inv_n)
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + np.full_like(var, eps))
+    xhat /= std
+    y = xhat * dg
+    y += db
+    out = TapeTensor(y)
+    tape = _active_tape()
+    if tape is not None:
+
+        def bwd(g):
+            if isinstance(gain, TapeTensor):
+                _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            if isinstance(bias, TapeTensor):
+                _accumulate(bias, g.reshape(-1, d).sum(axis=0))
+            if isinstance(a, TapeTensor):
+                gx = g * dg
+                proj = (gx * xhat).sum(axis=-1, keepdims=True) * inv_n
+                gx -= gx.sum(axis=-1, keepdims=True) * inv_n
+                gx -= xhat * proj
+                gx /= std
+                _accumulate(a, gx)
+
+        tape._add(out, bwd)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Autodiff engine: forward oracles, backward vs finite differences, dropout."""
 
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -369,3 +370,135 @@ class TestUntracked:
                 y = (x * 2.0).sum()
             assert len(t) == 0
             assert y._tape is None
+
+
+class TestLinear:
+    def test_forward_is_matmul_plus_bias(self):
+        rng = np.random.default_rng(30)
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        got = tape.linear(TapeTensor(x), TapeTensor(w), TapeTensor(b)).data
+        np.testing.assert_array_equal(got, x @ w + b)
+
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+    def test_gradient(self, x_shape):
+        rng = np.random.default_rng(31)
+        x = TapeTensor(rng.normal(size=x_shape), trainable=True)
+        w = TapeTensor(rng.normal(size=(4, 5)), trainable=True)
+        b = TapeTensor(rng.normal(size=5), trainable=True)
+        c = rng.normal(size=(*x_shape[:-1], 5))
+
+        def f():
+            return (tape.linear(x, w, b) * c).sum()
+
+        assert_grads_close(f, [x, w, b])
+
+    @pytest.mark.parametrize("w_shape, b_shape", [
+        ((4,), (4,)),            # weight not 2-d
+        ((2, 4, 5), (5,)),       # weight not 2-d
+        ((4, 5), (4,)),          # bias is not (d_out,)
+        ((4, 5), (1, 5)),        # bias is not (d_out,)
+    ])
+    def test_bad_weight_or_bias_names_both_shapes(self, w_shape, b_shape):
+        pattern = rf"weight {re.escape(str(w_shape))} and bias {re.escape(str(b_shape))}"
+        with pytest.raises(DimensionError, match=pattern):
+            tape.linear(TapeTensor(np.ones((3, 4))), TapeTensor(np.ones(w_shape)),
+                        TapeTensor(np.ones(b_shape)))
+
+    def test_input_width_must_match_weight(self):
+        with pytest.raises(DimensionError, match=r"\(3, 6\).*\(4, 5\)"):
+            tape.linear(TapeTensor(np.ones((3, 6))), TapeTensor(np.ones((4, 5))),
+                        TapeTensor(np.ones(5)))
+
+
+def _composite_layer_norm(x, gain, bias, eps=1e-5):
+    """The unfused op sequence layer_norm replaced, transcribed to numpy."""
+    inv_n = np.asarray(1.0 / x.shape[-1])
+    mu = x.sum(axis=-1, keepdims=True) * inv_n
+    centered = x + -mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + np.full_like(var, eps))
+    return centered / std * gain + bias
+
+
+class TestFusedLayerNorm:
+    @pytest.mark.parametrize("shape", [(5, 16), (2, 6, 64), (3, 1)])
+    def test_forward_bit_identical_to_composite(self, shape):
+        rng = np.random.default_rng(32)
+        x = rng.normal(1.0, 3.0, size=shape)
+        gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        want = _composite_layer_norm(x, gain, bias)
+        for recorded in (False, True):
+            with Tape() if recorded else tape.untracked():
+                got = tape.layer_norm(TapeTensor(x), TapeTensor(gain), TapeTensor(bias)).data
+            assert np.array_equal(got, want)
+
+    def test_one_node(self):
+        x = TapeTensor(np.random.default_rng(33).normal(size=(2, 3, 8)), trainable=True)
+        with Tape() as t:
+            tape.layer_norm(x, TapeTensor(np.ones(8)), TapeTensor(np.zeros(8)))
+        assert len(t) == 1
+
+    @pytest.mark.parametrize("gain_shape, bias_shape", [
+        ((1,), (6,)),        # would broadcast over d
+        ((4, 6), (6,)),      # (L, d) would broadcast over rows
+        ((7,), (6,)),        # (d+1,)
+        ((6,), (1,)),
+        ((6,), (4, 6)),
+    ])
+    def test_gain_and_bias_must_be_d(self, gain_shape, bias_shape):
+        pattern = (rf"gain {re.escape(str(gain_shape))} and bias "
+                   rf"{re.escape(str(bias_shape))}.*\(6,\)")
+        with pytest.raises(DimensionError, match=pattern):
+            tape.layer_norm(TapeTensor(np.ones((4, 6))), TapeTensor(np.ones(gain_shape)),
+                            TapeTensor(np.zeros(bias_shape)))
+
+
+class TestFirstWriteGradient:
+    def test_first_write_is_a_fresh_buffer_in_the_tensors_layout(self):
+        t = TapeTensor(np.zeros((2, 3)), trainable=True)
+        g = np.arange(6.0).reshape(3, 2).T       # Fortran-ordered incoming gradient
+        tape._accumulate(t, g)
+        assert t.grad.shape == t.data.shape
+        assert t.grad.flags.c_contiguous
+        assert not np.shares_memory(t.grad, g)
+        np.testing.assert_array_equal(t.grad, g)
+        tape._accumulate(t, g)
+        np.testing.assert_array_equal(t.grad, 2 * g)
+
+    def test_broadcast_gradient_fills_the_whole_buffer(self):
+        w = TapeTensor(np.ones((4, 3)), trainable=True)
+        with Tape():
+            loss = w.sum(axis=0).sum()
+        backward(loss)
+        assert w.grad.flags.c_contiguous and w.grad.shape == (4, 3)
+        np.testing.assert_array_equal(w.grad, np.ones((4, 3)))
+
+
+def _acceptance_step_nodes(mode):
+    """Tape nodes of one training step at d_model 64, 4 layers, 2 heads, ff 128, batch 32."""
+    from labmlm.corpus import LabBag, mask_bag, pad_batch
+    from labmlm.model import ModelConfig, forward_decile
+    from labmlm.training import decile_mlm_loss
+
+    cfg = ModelConfig(mode, 22, d_model=64, num_layers=4, num_heads=2, ff_dim=128)
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    top = cfg.num_codes if mode == "continuous" else cfg.vocab_size - 1
+    bags = []
+    for i in range(32):
+        L = int(rng.integers(3, 6))
+        bag = LabBag(f"p{i}", 0.0, rng.integers(1, top + 1, size=L).astype(np.int64),
+                     rng.uniform(0.0, 1.0, size=L), np.zeros(L, dtype=bool))
+        bags.append(mask_bag(bag, cfg.mask_token, rng))
+    batch = pad_batch(bags)
+    with Tape() as t:
+        if mode == "continuous":
+            multitask_loss(*forward_continuous(params, batch, training=True, rng=rng), batch)
+        else:
+            decile_mlm_loss(forward_decile(params, batch, training=True, rng=rng), batch)
+    return len(t)
+
+
+@pytest.mark.parametrize("mode, most", [("continuous", 150), ("decile", 130)])
+def test_acceptance_config_step_node_count(mode, most):
+    assert _acceptance_step_nodes(mode) <= most

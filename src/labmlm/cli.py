@@ -20,9 +20,10 @@ from .corpus import (
     filter_rare_codes,
     generate_synthetic_corpus,
     pad_batch,
-    read_events_csv,
+    read_event_table,
     read_shards,
     split_patients,
+    write_atomic,
     write_events_csv,
     write_shards,
 )
@@ -86,9 +87,7 @@ class _Outputs:
 
 
 def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _resolve_config(defaults: dict, config_path, args) -> dict:
@@ -158,20 +157,19 @@ def _parse_splits(text: str):
 
 
 def cmd_preprocess(args, out: _Outputs) -> int:
-    events = read_events_csv(args.events)
-    total_codes = len({e.code_id for e in events})
+    events = read_event_table(args.events)
+    total_codes = len(events.code_ids)
     kept = filter_rare_codes(events, args.min_count)
-    if not kept:
+    if not len(kept):
         raise DataError(f"--min-count {args.min_count} left no events")
 
     fractions = _parse_splits(args.splits)
-    train_ids, val_ids, test_ids = split_patients(
-        {e.patient_id for e in kept}, fractions, seed=args.seed)
-    by_split = {
-        "train": [e for e in kept if e.patient_id in train_ids],
-        "val": [e for e in kept if e.patient_id in val_ids],
-        "test": [e for e in kept if e.patient_id in test_ids],
-    }
+    pids = kept.patient_ids
+    splits = split_patients([pids[i] for i in np.unique(kept.patient).tolist()],
+                            fractions, seed=args.seed)
+    split_of = {pid: k for k, ids in enumerate(splits) for pid in ids}
+    row_split = np.array([split_of.get(pid, -1) for pid in pids], dtype=np.int64)[kept.patient]
+    by_split = {split: kept.take(row_split == k) for k, split in enumerate(SPLITS)}
 
     # Tokenizer statistics come from the training split only; a code that
     # never shows up there is dropped from every split.
@@ -179,11 +177,8 @@ def cmd_preprocess(args, out: _Outputs) -> int:
     if not counts:
         raise DataError("training split has no events; adjust --splits")
     binary_codes = [c for c in args.binary_codes.split(",") if c]
-    values = {}
-    for e in by_split["train"]:
-        if e.value is not None and e.code_id not in binary_codes:
-            values.setdefault(e.code_id, []).append(e.value)
-    ecdfs = {c: build_ecdf(c, np.asarray(v)) for c, v in sorted(values.items())}
+    values = by_split["train"].values_by_code(skip=binary_codes)
+    ecdfs = {c: build_ecdf(c, v) for c, v in sorted(values.items())}
     if args.mode == MODE_CONTINUOUS:
         vocab = build_continuous_vocab(counts)
     else:

@@ -1,4 +1,10 @@
-"""Lab-event streams, order-set bags, masking, shards, synthetic corpora.
+"""Lab-event tables, order-set bags, masking, shards, synthetic corpora.
+
+Events are held as an `EventTable`: one row per event in typed numpy columns
+(patient index, int64 chart time, code index, float64 value, has-value
+flag), with patient and code ids factorized into lists. `read_event_table`
+is the one CSV parser; `LabEvent` lists convert to and from tables at the
+API boundary.
 
 Events are grouped into bags by exact (patient_id, chart_time) equality; a bag
 is the unit the models consume. Bags shorter than 3 are dropped. Values are
@@ -8,16 +14,22 @@ value, and records the truth for the loss.
 
 Shards are a framed binary format (magic ``LBSH``, version 1, little-endian
 u32 length framing) so preprocess output streams straight into training.
+Each record is a u32 payload length, then u32 event and mask counts, then
+packed 13-byte event records (u32 token, f8 value, u8 flags: 1 null,
+2 masked) and 17-byte mask records (u32 position, u32 truth token,
+f8 truth value, u8 truth null). A shard is encoded and decoded whole
+through numpy structured dtypes, and written atomically.
 """
 
 from __future__ import annotations
 
+import array
+import contextlib
 import csv
-import io
+import math
 import os
 import struct
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,8 +39,7 @@ from .ecdf import (
     PAD_TOKEN,
     CompressedECDF,
     Vocab,
-    ecdf_apply,
-    value_to_decile_token,
+    ecdf_apply_many,
 )
 from .errors import ConfigError, ContractError, DataError, FormatError
 
@@ -36,9 +47,17 @@ SHARD_MAGIC = b"LBSH"
 SHARD_VERSION = 1
 MIN_BAG_SIZE = 3
 
-_REC_HEAD = struct.Struct("<II")
-_REC_EVENT = struct.Struct("<IdB")
-_REC_MASK = struct.Struct("<IIdB")
+CSV_HEADER = ["patient_id", "chart_time", "code_id", "value"]
+_INT64_MAX = 2**63 - 1
+_U32_MAX = 2**32 - 1
+
+# Record framing: u32 payload length, then the payload's u32 event and mask
+# counts. Packed (align=False) dtypes, so they match the byte layout exactly.
+_REC_HEAD = struct.Struct("<III")
+_HEAD_DTYPE = np.dtype([("length", "<u4"), ("n_events", "<u4"), ("n_mask", "<u4")])
+_EVENT_DTYPE = np.dtype([("token", "<u4"), ("value", "<f8"), ("flags", "u1")])
+_MASK_DTYPE = np.dtype([("position", "<u4"), ("token", "<u4"), ("value", "<f8"), ("null", "u1")])
+_PAYLOAD_HEAD = _REC_HEAD.size - 4
 
 
 @dataclass(frozen=True)
@@ -88,44 +107,147 @@ class ShardFile:
 
 
 # ---------------------------------------------------------------------------
-# Event CSV
+# Event tables and the event CSV
 
 
-def read_events_csv(path) -> list[LabEvent]:
-    """Parse `patient_id,chart_time,code_id,value` rows; empty value = missing."""
-    events = []
+@dataclass
+class EventTable:
+    """Events as columns, one row per event.
+
+    `patient` and `code` index `patient_ids` and `code_ids`, which list ids
+    in order of first appearance; a table taken from another keeps its lists,
+    so they may name ids that none of its rows use. `value` is 0.0 where
+    `has_value` is False.
+    """
+
+    patient: np.ndarray      # [n] int64
+    chart_time: np.ndarray   # [n] int64
+    code: np.ndarray         # [n] int64
+    value: np.ndarray        # [n] float64
+    has_value: np.ndarray    # [n] bool
+    patient_ids: list[str]
+    code_ids: list[str]
+
+    def __len__(self):
+        return int(self.patient.size)
+
+    def take(self, rows) -> EventTable:
+        """The rows a boolean mask or an index array selects, in that order."""
+        return EventTable(self.patient[rows], self.chart_time[rows], self.code[rows],
+                          self.value[rows], self.has_value[rows],
+                          self.patient_ids, self.code_ids)
+
+    def values_by_code(self, skip=()) -> dict[str, np.ndarray]:
+        """Recorded values of each code not in `skip`, in row order."""
+        skipped = np.array([c in skip for c in self.code_ids], dtype=bool)
+        keep = self.has_value & ~skipped[self.code]
+        code, value = self.code[keep], self.value[keep]
+        return {self.code_ids[c]: value[rows] for c, rows in _group_rows(code)}
+
+    @staticmethod
+    def from_events(events) -> EventTable:
+        pids, codes = {}, {}
+        n = len(events)
+        return EventTable(
+            np.fromiter((pids.setdefault(e.patient_id, len(pids)) for e in events), np.int64, n),
+            np.fromiter((e.chart_time for e in events), np.int64, n),
+            np.fromiter((codes.setdefault(e.code_id, len(codes)) for e in events), np.int64, n),
+            np.fromiter((0.0 if e.value is None else e.value for e in events), np.float64, n),
+            np.fromiter((e.value is not None for e in events), bool, n),
+            list(pids), list(codes))
+
+    def to_events(self) -> list[LabEvent]:
+        pids, codes = self.patient_ids, self.code_ids
+        return [LabEvent(pids[p], t, codes[c], v if h else None)
+                for p, t, c, v, h in zip(self.patient.tolist(), self.chart_time.tolist(),
+                                         self.code.tolist(), self.value.tolist(),
+                                         self.has_value.tolist())]
+
+
+def _as_table(events) -> EventTable:
+    return events if isinstance(events, EventTable) else EventTable.from_events(events)
+
+
+def _group_rows(keys):
+    """(key, row indices in input order) for each distinct key, keys ascending."""
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    return [(int(keys[rows[0]]), rows) for rows in np.split(order, cuts) if rows.size]
+
+
+def _parse_chart_time(path, lineno, text) -> int:
+    try:
+        t = int(text)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: chart_time {text!r} is not an integer") from None
+    if t < 0:
+        raise DataError(f"{path}:{lineno}: negative chart_time")
+    if t > _INT64_MAX:
+        raise DataError(f"{path}:{lineno}: chart_time {text!r} does not fit in int64")
+    return t
+
+
+def read_event_table(path) -> EventTable:
+    """Parse `patient_id,chart_time,code_id,value` rows; empty value = missing.
+
+    Rows stream straight into typed columns. The first bad row raises a
+    DataError naming `path:line`, with the first check it fails: field count,
+    empty code_id, chart_time not an integer, negative or past int64, value
+    not a number or not finite.
+    """
+    pids, codes, times = {}, {}, {}
+    patient, chart_time, code, value = (array.array(t) for t in "qqqd")
+    add_patient, add_time, add_code, add_value = (
+        patient.append, chart_time.append, code.append, value.append)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["patient_id", "chart_time", "code_id", "value"]:
+        if header != CSV_HEADER:
             raise DataError(f"{path}: unexpected header {header!r}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            pid, t, code, val = row
-            if not code:
+            pid, t, c, v = row
+            if not c:
                 raise DataError(f"{path}:{lineno}: empty code_id")
-            try:
-                t_int = int(t)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: chart_time {t!r} is not an integer") from None
-            if t_int < 0:
-                raise DataError(f"{path}:{lineno}: negative chart_time")
-            if val == "":
-                value = None
-            else:
+            t_int = times.get(t)
+            if t_int is None:
+                t_int = times[t] = _parse_chart_time(path, lineno, t)
+            if v:
                 try:
-                    value = float(val)
+                    x = float(v)
                 except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad value {val!r}") from None
-            events.append(LabEvent(pid, t_int, code, value))
-    return events
+                    raise DataError(f"{path}:{lineno}: bad value {v!r}") from None
+                if not math.isfinite(x):
+                    raise DataError(f"{path}:{lineno}: non-finite value {v!r}")
+                add_value(x)
+            else:
+                add_value(math.nan)   # finite values only, so NaN marks a missing one
+            p = pids.get(pid)
+            if p is None:
+                p = pids[pid] = len(pids)
+            add_patient(p)
+            add_time(t_int)
+            k = codes.get(c)
+            if k is None:
+                k = codes[c] = len(codes)
+            add_code(k)
+    value = np.frombuffer(value, np.float64)
+    has_value = ~np.isnan(value)
+    value[~has_value] = 0.0
+    return EventTable(np.frombuffer(patient, np.int64), np.frombuffer(chart_time, np.int64),
+                      np.frombuffer(code, np.int64), value, has_value, list(pids), list(codes))
+
+
+def read_events_csv(path) -> list[LabEvent]:
+    """`read_event_table` as a list of LabEvents (None for a missing value)."""
+    return read_event_table(path).to_events()
 
 
 def write_events_csv(path, events) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["patient_id", "chart_time", "code_id", "value"])
+        w.writerow(CSV_HEADER)
         for e in events:
             w.writerow([e.patient_id, e.chart_time, e.code_id, "" if e.value is None else repr(e.value)])
 
@@ -134,12 +256,18 @@ def write_events_csv(path, events) -> None:
 # Filtering, splitting, bagging
 
 
-def filter_rare_codes(events, min_count: int = 500) -> list[LabEvent]:
-    """Drop every event whose code occurs min_count times or fewer."""
+def filter_rare_codes(events, min_count: int = 500):
+    """Drop every event whose code occurs min_count times or fewer.
+
+    Takes an EventTable or a list of LabEvents and returns the same kind.
+    """
     if min_count < 0:
         raise ConfigError(f"min_count must be >= 0, got {min_count}")
-    counts = Counter(e.code_id for e in events)
-    return [e for e in events if counts[e.code_id] > min_count]
+    table = _as_table(events)
+    keep = np.bincount(table.code, minlength=len(table.code_ids))[table.code] > min_count
+    if isinstance(events, EventTable):
+        return table.take(keep)
+    return [e for e, k in zip(events, keep.tolist()) if k]
 
 
 def split_patients(patient_ids, fractions=(0.7, 0.1, 0.2), seed: int = 0):
@@ -162,59 +290,76 @@ def split_patients(patient_ids, fractions=(0.7, 0.1, 0.2), seed: int = 0):
 
 
 def code_frequencies(events) -> dict[str, int]:
-    return dict(Counter(e.code_id for e in events))
+    """Event count per code present, in order of first appearance."""
+    table = _as_table(events)
+    counts = np.bincount(table.code, minlength=len(table.code_ids))
+    present, first = np.unique(table.code, return_index=True)
+    return {table.code_ids[c]: int(counts[c]) for c in present[np.argsort(first)].tolist()}
 
 
 def build_bags(events, vocab: Vocab, ecdfs: dict[str, CompressedECDF]):
     """Group events into bags and tokenize them under `vocab`.
 
-    Returns (bags, stats). Out-of-vocab events are dropped and counted; bags
-    that end up shorter than 3 are dropped and counted. In decile mode the
-    eCDF probability is also kept in the value channel so imputation decoding
-    can be scored against it; the decile model itself reads tokens only.
+    Takes an EventTable or a list of LabEvents. Returns (bags, stats). Bags
+    come in (patient_id, chart_time) order, patient ids compared as strs,
+    and keep their events in input order. Out-of-vocab events are dropped
+    and counted; bags that end up shorter than 3 are dropped and counted
+    before any value is looked up. In decile mode the eCDF probability is
+    also kept in the value channel so imputation decoding can be scored
+    against it; the decile model itself reads tokens only.
     """
-    groups: dict[tuple[str, int], list[LabEvent]] = {}
-    dropped_oov = 0
-    for e in events:
-        if not vocab.contains(e.code_id):
-            dropped_oov += 1
-            continue
-        groups.setdefault((e.patient_id, e.chart_time), []).append(e)
+    table = _as_table(events)
+    codes = table.code_ids
+    in_vocab = np.array([vocab.contains(c) for c in codes], dtype=bool)
+    rows = np.flatnonzero(in_vocab[table.code])
+    dropped_oov = len(table) - rows.size
 
-    bags = []
-    dropped_small = 0
-    for (pid, t), evs in sorted(groups.items()):
-        if len(evs) < MIN_BAG_SIZE:
-            dropped_small += 1
-            continue
-        L = len(evs)
-        tokens = np.zeros(L, dtype=np.int64)
-        values = np.zeros(L, dtype=np.float64)
-        nulls = np.zeros(L, dtype=bool)
-        for i, ev in enumerate(evs):
-            p = None
-            if ev.value is not None:
-                e_cdf = ecdfs.get(ev.code_id)
-                if e_cdf is None:
-                    if vocab.mode == MODE_DECILE and ev.code_id in vocab.binary_token:
-                        p = None  # declared binary: the value carries no meaning
-                    else:
-                        raise DataError(f"code {ev.code_id!r} has a value but no eCDF")
-                else:
-                    p = ecdf_apply(e_cdf, ev.value)
-            if vocab.mode == MODE_CONTINUOUS:
-                tokens[i] = vocab.token_for_code(ev.code_id)
-            else:
-                tokens[i] = value_to_decile_token(vocab, ev.code_id, p)
-            values[i] = 0.0 if p is None else p
-            nulls[i] = p is None
-        bags.append(LabBag(pid, t, tokens, values, nulls))
+    # lexsort is stable, so each bag keeps its events in input order.
+    rank = np.empty(len(table.patient_ids), dtype=np.int64)
+    rank[sorted(range(rank.size), key=table.patient_ids.__getitem__)] = np.arange(rank.size)
+    rows = rows[np.lexsort((table.chart_time[rows], rank[table.patient[rows]]))]
+    patient, chart_time = table.patient[rows], table.chart_time[rows]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (patient[1:] != patient[:-1]) | (chart_time[1:] != chart_time[:-1])
+    sizes = np.diff(np.append(np.flatnonzero(first), rows.size))
+    keep = sizes >= MIN_BAG_SIZE
+    rows, sizes = rows[np.repeat(keep, sizes)], sizes[keep]
 
+    code, value = table.code[rows], table.value[rows]
+    has_ecdf = np.array([c in ecdfs for c in codes], dtype=bool)
+    binary = np.array([vocab.mode == MODE_DECILE and c in vocab.binary_token for c in codes],
+                      dtype=bool)
+    mapped = table.has_value[rows] & has_ecdf[code]
+    # Declared binary codes carry no meaningful value in decile mode.
+    unmapped = table.has_value[rows] & ~has_ecdf[code] & ~binary[code]
+    if unmapped.any():
+        raise DataError(f"code {codes[code[np.argmax(unmapped)]]!r} has a value but no eCDF")
+    probs = np.zeros(rows.size, dtype=np.float64)
+    hit = np.flatnonzero(mapped)
+    for c, at in _group_rows(code[hit]):
+        probs[hit[at]] = ecdf_apply_many(ecdfs[codes[c]], value[hit[at]])
+
+    if vocab.mode == MODE_CONTINUOUS:
+        tokens = np.array([vocab.code_to_token.get(c, 0) for c in codes], dtype=np.int64)[code]
+    else:
+        block = np.array([vocab.block_start.get(c, 0) for c in codes], dtype=np.int64)
+        single = np.array([vocab.binary_token.get(c, 0) for c in codes], dtype=np.int64)
+        offset = np.where(mapped, np.minimum((probs * 10.0).astype(np.int64), 9), 10)
+        tokens = np.where(binary[code], single[code], block[code] + offset)
+    nulls = ~mapped
+
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    pids = table.patient_ids
+    bags = [LabBag(pids[p], t, tokens[a:b], probs[a:b], nulls[a:b])
+            for p, t, a, b in zip(table.patient[rows[starts]].tolist(),
+                                  table.chart_time[rows[starts]].tolist(),
+                                  starts.tolist(), ends.tolist())]
     stats = {
-        "events_in": len(events),
-        "events_dropped_oov": dropped_oov,
+        "events_in": len(table),
+        "events_dropped_oov": int(dropped_oov),
         "bags_kept": len(bags),
-        "bags_dropped_small": dropped_small,
+        "bags_dropped_small": int(keep.size - np.count_nonzero(keep)),
     }
     return bags, stats
 
@@ -286,32 +431,23 @@ def pad_batch(bags) -> Batch:
     bags = list(bags)
     if not bags:
         raise ContractError("pad_batch needs at least one bag")
-    b = len(bags)
-    L = max(len(bag) for bag in bags)
-    tokens = np.full((b, L), PAD_TOKEN, dtype=np.int64)
-    values = np.zeros((b, L), dtype=np.float64)
-    nulls = np.zeros((b, L), dtype=bool)
-    pad = np.ones((b, L), dtype=bool)
-    lengths = np.zeros(b, dtype=np.int64)
-    rows, cols, tts, tvs, tns = [], [], [], [], []
-    for i, bag in enumerate(bags):
-        n = len(bag)
-        tokens[i, :n] = bag.tokens
-        values[i, :n] = bag.values
-        nulls[i, :n] = bag.null_flags
-        pad[i, :n] = False
-        lengths[i] = n
-        for j in range(bag.mask_positions.size):
-            rows.append(i)
-            cols.append(int(bag.mask_positions[j]))
-            tts.append(int(bag.truth_tokens[j]))
-            tvs.append(float(bag.truth_values[j]))
-            tns.append(bool(bag.truth_nulls[j]))
+    lengths = np.array([len(bag) for bag in bags], dtype=np.int64)
+    pad = np.arange(lengths.max()) >= lengths[:, None]
+    fill = ~pad   # row-major, so bag after bag
+    tokens = np.full(pad.shape, PAD_TOKEN, dtype=np.int64)
+    values = np.zeros(pad.shape, dtype=np.float64)
+    nulls = np.zeros(pad.shape, dtype=bool)
+    tokens[fill] = np.concatenate([bag.tokens for bag in bags])
+    values[fill] = np.concatenate([bag.values for bag in bags])
+    nulls[fill] = np.concatenate([bag.null_flags for bag in bags])
+    n_mask = [bag.mask_positions.size for bag in bags]
     return Batch(
         tokens, values, nulls, pad, lengths,
-        np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
-        np.asarray(tts, dtype=np.int64), np.asarray(tvs, dtype=np.float64),
-        np.asarray(tns, dtype=bool),
+        np.repeat(np.arange(len(bags), dtype=np.int64), n_mask),
+        np.concatenate([bag.mask_positions for bag in bags]).astype(np.int64),
+        np.concatenate([bag.truth_tokens for bag in bags]).astype(np.int64),
+        np.concatenate([bag.truth_values for bag in bags]).astype(np.float64),
+        np.concatenate([bag.truth_nulls for bag in bags]).astype(bool),
     )
 
 
@@ -319,26 +455,77 @@ def pad_batch(bags) -> Batch:
 # Shards
 
 
-def _encode_bag(bag: LabBag) -> bytes:
-    L = len(bag)
-    n_mask = int(bag.mask_positions.size)
-    masked = np.zeros(L, dtype=bool)
-    masked[bag.mask_positions] = True
-    buf = io.BytesIO()
-    buf.write(_REC_HEAD.pack(L, n_mask))
-    for i in range(L):
-        flags = (1 if bag.null_flags[i] else 0) | (2 if masked[i] else 0)
-        buf.write(_REC_EVENT.pack(int(bag.tokens[i]), float(bag.values[i]), flags))
-    for j in range(n_mask):
-        buf.write(_REC_MASK.pack(
-            int(bag.mask_positions[j]), int(bag.truth_tokens[j]),
-            float(bag.truth_values[j]), 1 if bag.truth_nulls[j] else 0,
-        ))
-    return buf.getvalue()
+def write_atomic(path, data: bytes) -> None:
+    """Write `<path>.tmp` and rename it over `path`.
+
+    An interrupted or failed write leaves the previous file whole and no
+    temp file behind.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _byte_ranges(starts, sizes):
+    """Indices of the byte ranges [start, start + size), concatenated."""
+    sizes = np.broadcast_to(sizes, starts.shape)
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
+def _check_u32(what, a):
+    if a.size and (a.min() < 0 or a.max() > _U32_MAX):
+        raise ContractError(f"{what} outside the shard format's u32 range")
+    return a
+
+
+def _encode_shard(bags) -> bytes:
+    n_events = np.array([len(bag) for bag in bags], dtype=np.int64)
+    n_mask = np.array([bag.mask_positions.size for bag in bags], dtype=np.int64)
+    positions = np.concatenate([bag.mask_positions for bag in bags]).astype(np.int64)
+    own_length = np.repeat(n_events, n_mask)
+    if np.any((positions < 0) | (positions >= own_length)):
+        raise ContractError("mask position out of its bag's range")
+
+    event_start = np.cumsum(n_events) - n_events
+    masked = np.zeros(int(n_events.sum()), dtype=np.uint8)
+    masked[np.repeat(event_start, n_mask) + positions] = 2
+    events = np.empty(masked.size, dtype=_EVENT_DTYPE)
+    events["token"] = _check_u32("token", np.concatenate([bag.tokens for bag in bags]))
+    events["value"] = np.concatenate([bag.values for bag in bags])
+    events["flags"] = np.concatenate([bag.null_flags for bag in bags]).astype(bool) | masked
+    masks = np.empty(positions.size, dtype=_MASK_DTYPE)
+    masks["position"] = positions
+    masks["token"] = _check_u32("truth token", np.concatenate([bag.truth_tokens for bag in bags]))
+    masks["value"] = np.concatenate([bag.truth_values for bag in bags])
+    masks["null"] = np.concatenate([bag.truth_nulls for bag in bags]).astype(bool)
+
+    event_bytes = n_events * _EVENT_DTYPE.itemsize
+    mask_bytes = n_mask * _MASK_DTYPE.itemsize
+    heads = np.empty(len(bags), dtype=_HEAD_DTYPE)
+    heads["length"] = _PAYLOAD_HEAD + event_bytes + mask_bytes
+    heads["n_events"] = n_events
+    heads["n_mask"] = n_mask
+    record_bytes = _HEAD_DTYPE.itemsize + event_bytes + mask_bytes
+    head_at = np.cumsum(record_bytes) - record_bytes
+    events_at = head_at + _HEAD_DTYPE.itemsize
+    records = np.empty(int(record_bytes.sum()), dtype=np.uint8)
+    records[_byte_ranges(head_at, _HEAD_DTYPE.itemsize)] = heads.view(np.uint8)
+    records[_byte_ranges(events_at, event_bytes)] = events.view(np.uint8)
+    records[_byte_ranges(events_at + event_bytes, mask_bytes)] = masks.view(np.uint8)
+    return SHARD_MAGIC + bytes([SHARD_VERSION]) + records.tobytes()
 
 
 def write_shards(bags, out_dir, shard_size: int = 1000, split: str = "train") -> list[ShardFile]:
-    """Write bags into shard-NNNNN.bin files of at most shard_size records."""
+    """Write bags into shard-NNNNN.bin files of at most shard_size records.
+
+    Each shard is encoded whole and written atomically (`write_atomic`).
+    """
     if shard_size < 1:
         raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
     os.makedirs(out_dir, exist_ok=True)
@@ -347,82 +534,98 @@ def write_shards(bags, out_dir, shard_size: int = 1000, split: str = "train") ->
     for si in range(0, len(bags), shard_size):
         chunk = bags[si : si + shard_size]
         path = os.path.join(out_dir, f"shard-{si // shard_size:05d}.bin")
-        with open(path, "wb") as fh:
-            fh.write(SHARD_MAGIC)
-            fh.write(bytes([SHARD_VERSION]))
-            for bag in chunk:
-                payload = _encode_bag(bag)
-                fh.write(struct.pack("<I", len(payload)))
-                fh.write(payload)
+        write_atomic(path, _encode_shard(chunk))
         shards.append(ShardFile(path, len(chunk), split))
     return shards
 
 
-def _decode_bag(payload: bytes, path: str, record_index: int) -> LabBag:
-    try:
-        L, n_mask = _REC_HEAD.unpack_from(payload, 0)
-        off = _REC_HEAD.size
-        tokens = np.zeros(L, dtype=np.int64)
-        values = np.zeros(L, dtype=np.float64)
-        nulls = np.zeros(L, dtype=bool)
-        masked_flag = np.zeros(L, dtype=bool)
-        for i in range(L):
-            tok, val, flags = _REC_EVENT.unpack_from(payload, off)
-            off += _REC_EVENT.size
-            tokens[i] = tok
-            values[i] = val
-            nulls[i] = bool(flags & 1)
-            masked_flag[i] = bool(flags & 2)
-        pos = np.zeros(n_mask, dtype=np.int64)
-        tts = np.zeros(n_mask, dtype=np.int64)
-        tvs = np.zeros(n_mask, dtype=np.float64)
-        tns = np.zeros(n_mask, dtype=bool)
-        for j in range(n_mask):
-            p, tt, tv, tn = _REC_MASK.unpack_from(payload, off)
-            off += _REC_MASK.size
-            pos[j] = p
-            tts[j] = tt
-            tvs[j] = tv
-            tns[j] = bool(tn)
-    except struct.error:
-        raise FormatError(f"{path}: record {record_index} payload truncated") from None
-    if off != len(payload):
-        raise FormatError(f"{path}: record {record_index} has {len(payload) - off} trailing bytes")
-    if not np.array_equal(np.flatnonzero(masked_flag), pos):
-        raise FormatError(f"{path}: record {record_index} mask flags disagree with mask records")
+def _frame_records(data: bytes, path):
+    """Walk a shard's record framing.
+
+    Returns ([(event offset, event count, mask count)] of the records before
+    the first framing fault, that fault's message or None).
+    """
+    records, off = [], len(SHARD_MAGIC) + 1
+    while off < len(data):
+        i = len(records)
+        if len(data) - off < 4:
+            return records, f"{path}: truncated length field at byte {off} (record {i})"
+        (length,) = struct.unpack_from("<I", data, off)
+        if off + 4 + length > len(data):
+            return records, f"{path}: truncated payload at byte {off} (record {i})"
+        if length < _PAYLOAD_HEAD:
+            return records, f"{path}: record {i} payload truncated"
+        _, n_events, n_mask = _REC_HEAD.unpack_from(data, off)
+        need = _PAYLOAD_HEAD + n_events * _EVENT_DTYPE.itemsize + n_mask * _MASK_DTYPE.itemsize
+        if length < need:
+            return records, f"{path}: record {i} payload truncated"
+        if length > need:
+            return records, f"{path}: record {i} has {length - need} trailing bytes"
+        records.append((off + _REC_HEAD.size, n_events, n_mask))
+        off += 4 + length
+    return records, None
+
+
+def _decode_shard(data: bytes, path) -> list[LabBag]:
+    if len(data) < 5 or data[:4] != SHARD_MAGIC:
+        raise FormatError(f"{path}: bad magic at byte 0: {data[:4]!r}")
+    if data[4] != SHARD_VERSION:
+        raise FormatError(f"{path}: unsupported version {data[4]} at byte 4")
+    records, fault = _frame_records(data, path)
+    offsets, n_events, n_mask = np.array(records, dtype=np.int64).reshape(-1, 3).T
+
+    buf = np.frombuffer(data, dtype=np.uint8)
+    event_bytes = n_events * _EVENT_DTYPE.itemsize
+    events = buf[_byte_ranges(offsets, event_bytes)].view(_EVENT_DTYPE)
+    masks = buf[_byte_ranges(offsets + event_bytes, n_mask * _MASK_DTYPE.itemsize)].view(_MASK_DTYPE)
+    positions = masks["position"].astype(np.int64)
+
+    # A record's mask records must list exactly its masked-flag events, in
+    # order: as many of them, each in range and flagged, strictly increasing.
+    n_records = n_events.size
+    record = np.repeat(np.arange(n_records), n_mask)
+    event_start = np.cumsum(n_events) - n_events
+    masked = (events["flags"] & 2) != 0
+    count = np.bincount(np.repeat(np.arange(n_records), n_events)[masked], minlength=n_records)
+    ok = positions < n_events[record]
+    ok[ok] = masked[(event_start[record] + positions)[ok]]
+    ok[1:] &= (positions[1:] > positions[:-1]) | (record[1:] != record[:-1])
+    bad = count != n_mask
+    bad[record[~ok]] = True
+    if bad.any():
+        raise FormatError(f"{path}: record {int(np.argmax(bad))} mask flags disagree with mask records")
+    if fault is not None:
+        raise FormatError(fault)
+
+    tokens = events["token"].astype(np.int64)
+    values = events["value"].astype(np.float64)
+    nulls = (events["flags"] & 1).astype(bool)
+    truth_tokens = masks["token"].astype(np.int64)
+    truth_values = masks["value"].astype(np.float64)
+    truth_nulls = masks["null"] != 0
+    mask_start = np.cumsum(n_mask) - n_mask
     # Patient metadata is not part of the shard format.
-    return LabBag("", 0, tokens, values, nulls, pos, tts, tvs, tns)
+    return [LabBag("", 0, tokens[a:b], values[a:b], nulls[a:b], positions[c:d],
+                   truth_tokens[c:d], truth_values[c:d], truth_nulls[c:d])
+            for a, b, c, d in zip(event_start.tolist(), (event_start + n_events).tolist(),
+                                  mask_start.tolist(), (mask_start + n_mask).tolist())]
 
 
 def read_shards(shard_dir):
-    """Yield bags from every shard-*.bin under shard_dir, in filename order."""
+    """Yield bags from every shard-*.bin under shard_dir, in filename order.
+
+    Each shard is read and decoded whole, so a corrupt shard raises its
+    FormatError (naming the first bad record) before yielding any of its
+    records.
+    """
     if not os.path.isdir(shard_dir):
         raise DataError(f"shard directory {shard_dir!r} does not exist")
     names = sorted(n for n in os.listdir(shard_dir) if n.startswith("shard-") and n.endswith(".bin"))
     for name in names:
         path = os.path.join(shard_dir, name)
         with open(path, "rb") as fh:
-            head = fh.read(5)
-            if len(head) < 5 or head[:4] != SHARD_MAGIC:
-                raise FormatError(f"{path}: bad magic at byte 0: {head[:4]!r}")
-            if head[4] != SHARD_VERSION:
-                raise FormatError(f"{path}: unsupported version {head[4]} at byte 4")
-            record_index = 0
-            while True:
-                offset = fh.tell()
-                raw_len = fh.read(4)
-                if not raw_len:
-                    break
-                if len(raw_len) < 4:
-                    raise FormatError(f"{path}: truncated length field at byte {offset} "
-                                      f"(record {record_index})")
-                (plen,) = struct.unpack("<I", raw_len)
-                payload = fh.read(plen)
-                if len(payload) < plen:
-                    raise FormatError(f"{path}: truncated payload at byte {offset} "
-                                      f"(record {record_index})")
-                yield _decode_bag(payload, path, record_index)
-                record_index += 1
+            data = fh.read()
+        yield from _decode_shard(data, path)
 
 
 # ---------------------------------------------------------------------------

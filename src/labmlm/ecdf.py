@@ -64,23 +64,16 @@ def build_ecdf(code_id: str, values) -> CompressedECDF:
 
 def ecdf_apply(e: CompressedECDF, x: float) -> float:
     """Fraction of training observations <= x; 0.0 below the support."""
-    if np.isnan(x):
-        raise DataError(f"code {e.code_id!r}: NaN query to ecdf_apply")
-    idx = np.searchsorted(e.values, x, side="right")
-    if idx == 0:
-        return 0.0
-    return float(e.probs[idx - 1])
+    return float(ecdf_apply_many(e, x))
 
 
 def ecdf_apply_many(e: CompressedECDF, xs) -> np.ndarray:
+    """`ecdf_apply` elementwise over an array of queries; NaN raises DataError."""
     xs = np.asarray(xs, dtype=np.float64)
     if np.isnan(xs).any():
         raise DataError(f"code {e.code_id!r}: NaN query to ecdf_apply")
     idx = np.searchsorted(e.values, xs, side="right")
-    out = np.zeros(xs.shape, dtype=np.float64)
-    hit = idx > 0
-    out[hit] = e.probs[idx[hit] - 1]
-    return out
+    return np.where(idx > 0, e.probs[idx - 1], 0.0)
 
 
 def ecdf_invert(e: CompressedECDF, p: float) -> float:
@@ -104,7 +97,7 @@ def save_ecdfs(path, ecdfs: dict[str, CompressedECDF]) -> None:
         for code, e in sorted(ecdfs.items())
     ]
     with open(path, "w") as fh:
-        json.dump(entries, fh, sort_keys=True)
+        fh.write(json.dumps(entries, sort_keys=True))
 
 
 def load_ecdfs(path) -> dict[str, CompressedECDF]:
@@ -231,7 +224,7 @@ class Vocab:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
+            fh.write(json.dumps(self.to_json(), sort_keys=True))
 
     @staticmethod
     def load(path) -> "Vocab":

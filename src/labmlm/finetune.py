@@ -29,7 +29,7 @@ import numpy as np
 
 from . import tape
 from .corpus import LabBag, pad_batch
-from .ecdf import MODE_CONTINUOUS, ecdf_apply
+from .ecdf import MODE_CONTINUOUS, ecdf_apply_many
 from .errors import ConfigError, ContractError, DataError
 from .model import ModelParams, encode
 from .optim import AdamState, adam_step, zero_param_grads
@@ -136,22 +136,28 @@ def dataset_bags(dataset: FinetuneDataset, vocab, ecdfs) -> list:
     """One unmasked bag per sample from its non-missing lab columns."""
     if vocab.mode != MODE_CONTINUOUS:
         raise ConfigError("fine-tuning bags need a continuous vocabulary")
+    labs = dataset.lab_values
+    present = ~np.isnan(labs)
+    no_ecdf = np.array([c not in ecdfs for c in dataset.lab_codes], dtype=bool)
+    # Errors in sample order, as a per-sample scan would meet them.
+    unmapped = present & no_ecdf
+    failing = unmapped.any(axis=1) | ~present.any(axis=1)
+    if failing.any():
+        i = int(np.argmax(failing))
+        if unmapped[i].any():
+            raise DataError(f"no eCDF for lab code {dataset.lab_codes[np.argmax(unmapped[i])]!r}")
+        raise DataError(f"sample {i} has no usable lab values")
+    tokens = np.zeros(len(dataset.lab_codes), dtype=np.int64)
+    probs = np.zeros(labs.shape, dtype=np.float64)
+    for j, code in enumerate(dataset.lab_codes):
+        if present[:, j].any():
+            tokens[j] = vocab.token_for_code(code)
+            probs[present[:, j], j] = ecdf_apply_many(ecdfs[code], labs[present[:, j], j])
     bags = []
     for i in range(len(dataset)):
-        tokens, values = [], []
-        for j, code in enumerate(dataset.lab_codes):
-            raw = dataset.lab_values[i, j]
-            if np.isnan(raw):
-                continue
-            if code not in ecdfs:
-                raise DataError(f"no eCDF for lab code {code!r}")
-            tokens.append(vocab.token_for_code(code))
-            values.append(ecdf_apply(ecdfs[code], raw))
-        if not tokens:
-            raise DataError(f"sample {i} has no usable lab values")
-        L = len(tokens)
-        bags.append(LabBag(f"s{i}", 0.0, np.asarray(tokens, dtype=np.int64),
-                           np.asarray(values, dtype=float), np.zeros(L, dtype=bool)))
+        cols = np.flatnonzero(present[i])
+        bags.append(LabBag(f"s{i}", 0.0, tokens[cols], probs[i, cols],
+                           np.zeros(cols.size, dtype=bool)))
     return bags
 
 

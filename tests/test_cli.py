@@ -1,14 +1,21 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import labmlm
+from labmlm import cli
 from labmlm.cli import main
 from labmlm.corpus import (
+    LabEvent,
     generate_outcome_dataset,
     generate_synthetic_corpus,
     read_events_csv,
@@ -31,6 +38,40 @@ def corpus_dir(tmp_path_factory):
     assert run("preprocess", "--events", root / "raw" / "events.csv",
                "--min-count", 0, "--out", root / "pp") == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def messy_csv(tmp_path_factory):
+    """Shuffled rows: missing values, a rare code, a code only some patients
+    have, bags shorter than 3 and patient ids whose str order is not their
+    numeric order."""
+    events, _ = generate_synthetic_corpus(80, 6, seed=17, missing_rate=0.1)
+    events += [LabEvent("P00003", 99, "R", 1.5), LabEvent("P00004", 99, "R", 2.5),
+               LabEvent("P00005", 99, "R", None)]
+    events += [LabEvent("P00001", 7, "C000", 0.25), LabEvent("P00001", 7, "C001", None)]
+    for pid in ("Q10", "Q7", "Q9"):
+        events += [LabEvent(pid, 3600, f"C00{j}", float(j) - 2.5) for j in range(5)]
+        events += [LabEvent(pid, 3600, "X", 0.5), LabEvent(pid, 3600, "C000", None)]
+    rng = np.random.default_rng(17)
+    events = [events[i] for i in rng.permutation(len(events))]
+    path = tmp_path_factory.mktemp("messy") / "events.csv"
+    write_events_csv(path, events)
+    return path
+
+
+def _tree_digest(root: Path) -> str:
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(str(p.relative_to(root)).encode() + b"\0" + p.read_bytes())
+    return h.hexdigest()
+
+
+PREPROCESS_FLAGS = {
+    "continuous": ["--min-count", 3, "--shard-size", 7, "--seed", 5],
+    "decile": ["--mode", "decile", "--binary-codes", "C005", "--min-count", 3,
+               "--shard-size", 7, "--seed", 5],
+}
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +131,44 @@ class TestPreprocess:
                        "--seed", 3, "--out", out) == 0
         for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    # Recorded before the columnar rewrite of preprocess: every output byte
+    # and the printed summary must stay the same.
+    GOLDEN = {"continuous": "7ee2a4cf94a4c12c17f4eec024ced7d5a29c0a85e30fbd935b33ada0c5e2d031",
+              "decile": "a4b3b55b246f4bac9e12c89bff9bb62c92357d2e6dc30c440e0526c40efd53bc"}
+
+    @pytest.mark.parametrize("mode", ["continuous", "decile"])
+    def test_golden_digest(self, messy_csv, tmp_path, capsys, mode):
+        out = tmp_path / mode
+        capsys.readouterr()
+        assert run("preprocess", "--events", messy_csv, *PREPROCESS_FLAGS[mode],
+                   "--out", out) == 0
+        stdout = capsys.readouterr().out
+        digest = hashlib.sha256((_tree_digest(out) + stdout).encode()).hexdigest()
+        assert digest == self.GOLDEN[mode], stdout
+
+    @pytest.mark.parametrize("mode", ["continuous", "decile"])
+    def test_output_independent_of_str_hash_seed(self, messy_csv, tmp_path, mode):
+        src = str(Path(labmlm.__file__).resolve().parent.parent)
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "labmlm", "preprocess", "--events", str(messy_csv),
+                 *map(str, PREPROCESS_FLAGS[mode]), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digest = hashlib.sha256((_tree_digest(out) + proc.stdout).encode()).hexdigest()
+            assert digest == self.GOLDEN[mode], hash_seed
+
+    def test_failed_json_write_keeps_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli._write_json(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            cli._write_json(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_decile_vocab_size_for_three_numeric_codes(self, tmp_path, capsys):
         assert run("synth", "--patients", 40, "--codes", 3, "--seed", 2,

@@ -1,11 +1,19 @@
 """Event ingestion, bagging, masking, padding, shards, synthetic data."""
 
+import hashlib
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from labmlm import corpus
 from labmlm.corpus import (
+    EventTable,
     LabBag,
     LabEvent,
     bag_payload_equal,
@@ -14,6 +22,7 @@ from labmlm.corpus import (
     generate_synthetic_corpus,
     mask_bag,
     pad_batch,
+    read_event_table,
     read_events_csv,
     read_shards,
     split_patients,
@@ -42,6 +51,60 @@ def _toy_bags(n, rng, vocab, L=4):
     return bags
 
 
+MESSY_CODES = ("A", "B", "C", "D", "BIN", "FLAG", "Z9")   # Z9 is out of vocabulary
+
+
+def _messy_corpus(seed):
+    """Shuffled events with out-of-vocab codes, duplicate codes in a bag,
+    missing values, bags shorter than 3 and two declared binary codes.
+
+    Returns (events, {mode: (vocab, ecdfs)}). BIN has an eCDF in both modes;
+    FLAG has one only in continuous mode, so in decile mode its values are
+    ignored.
+    """
+    rng = np.random.default_rng(seed)
+    events = []
+    for _ in range(300):
+        pid = f"P{int(rng.integers(30))}"   # "P10" sorts before "P2"
+        t = 3600 * int(rng.integers(4))
+        for _ in range(int(rng.integers(1, 7))):
+            code = MESSY_CODES[int(rng.integers(len(MESSY_CODES)))]
+            value = None if rng.random() < 0.2 else round(float(rng.normal()), 2)
+            events.append(LabEvent(pid, t, code, value))
+    events = [events[i] for i in rng.permutation(len(events))]
+    in_vocab = [e for e in events if e.code_id != "Z9"]
+    counts = corpus.code_frequencies(in_vocab)
+    # eCDFs from the first half only, so later values fall outside the support.
+    by_code = {}
+    for e in in_vocab[: len(in_vocab) // 2]:
+        if e.value is not None:
+            by_code.setdefault(e.code_id, []).append(e.value)
+    ecdfs = {c: build_ecdf(c, v) for c, v in sorted(by_code.items())}
+    decile_ecdfs = {c: e for c, e in ecdfs.items() if c != "FLAG"}
+    return events, {
+        "continuous": (build_continuous_vocab(counts), ecdfs),
+        "decile": (build_decile_vocab(decile_ecdfs, counts, ("BIN", "FLAG")), decile_ecdfs),
+    }
+
+
+def _bags_digest(h, bags, stats):
+    h.update(repr(sorted(stats.items())).encode())
+    for bag in bags:
+        h.update(repr((bag.patient_id, bag.chart_time)).encode())
+        for a in (bag.tokens, bag.values, bag.null_flags):
+            h.update(a.dtype.str.encode() + a.tobytes())
+
+
+def _bags_equal(a, b):
+    (bags_a, stats_a), (bags_b, stats_b) = a, b
+    return stats_a == stats_b and len(bags_a) == len(bags_b) and all(
+        x.patient_id == y.patient_id and x.chart_time == y.chart_time
+        and all(u.dtype == v.dtype for u, v in ((x.tokens, y.tokens), (x.values, y.values),
+                                                (x.null_flags, y.null_flags)))
+        and bag_payload_equal(x, y)
+        for x, y in zip(bags_a, bags_b))
+
+
 class TestEventsCSV:
     def test_round_trip(self, tmp_path):
         events = [
@@ -64,6 +127,52 @@ class TestEventsCSV:
         path.write_text("a,b,c,d\n")
         with pytest.raises(DataError):
             read_events_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("P1,0,A", "expected 4 fields, got 3"),
+        ("P1,0,A,1.0,x", "expected 4 fields, got 5"),
+        ("P1,0,,1.0", "empty code_id"),
+        ("P1,1.5,A,1.0", "chart_time '1.5' is not an integer"),
+        ("P1,-5,A,1.0", "negative chart_time"),
+        ("P1,9223372036854775808,A,1.0",
+         "chart_time '9223372036854775808' does not fit in int64"),
+        ("P1,0,A,abc", "bad value 'abc'"),
+        ("P1,0,A,nan", "non-finite value 'nan'"),
+        ("P1,0,A,inf", "non-finite value 'inf'"),
+        ("P1,0,A,-Infinity", "non-finite value '-Infinity'"),
+        # Within a row the first failing check wins.
+        ("P1,x,,abc", "empty code_id"),
+        ("P1,x,A,abc", "chart_time 'x' is not an integer"),
+        ("P1,-1,A,nan", "negative chart_time"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"patient_id,chart_time,code_id,value\nP0,3600,A,1.0\n{row}\n"
+                        "P2,-1,A,nan\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            read_event_table(path)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            read_events_csv(path)
+
+    def test_largest_int64_chart_time_accepted(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("patient_id,chart_time,code_id,value\nP1,9223372036854775807,A,\n")
+        table = read_event_table(path)
+        assert table.chart_time.tolist() == [2**63 - 1]
+        assert read_events_csv(path) == [LabEvent("P1", 2**63 - 1, "A", None)]
+
+    def test_table_columns(self, tmp_path):
+        events = [LabEvent("Q", 7, "B", 2.5), LabEvent("P", 0, "A", None),
+                  LabEvent("Q", 7, "A", -1.0)]
+        path = tmp_path / "events.csv"
+        write_events_csv(path, events)
+        t = read_event_table(path)
+        assert (t.patient_ids, t.code_ids) == (["Q", "P"], ["B", "A"])
+        assert t.patient.tolist() == [0, 1, 0] and t.code.tolist() == [0, 1, 1]
+        assert t.chart_time.dtype == np.int64 and t.chart_time.tolist() == [7, 0, 7]
+        assert t.value.dtype == np.float64 and t.has_value.tolist() == [True, False, True]
+        assert t.to_events() == events
+        assert len(t) == 3
 
 
 class TestFilterRareCodes:
@@ -171,6 +280,52 @@ class TestBuildBags:
         )
         np.testing.assert_array_equal(bag.null_flags, [False, False, True])
         assert bag.values[0] == 0.1 and bag.values[1] == 1.0
+
+    def test_valued_code_without_ecdf_in_dropped_small_bag(self):
+        counts = {"A": 30, "B": 20, "C": 10, "D": 5}
+        ecdfs = {c: build_ecdf(c, np.arange(1, 11, dtype=float)) for c in "ABC"}
+        vocab = build_continuous_vocab(counts)
+        events = [LabEvent("P", 0, c, 1.0) for c in "ABC"]
+        events += [LabEvent("Q", 0, "D", 4.0), LabEvent("Q", 0, "A", 2.0)]
+        bags, stats = build_bags(events, vocab, ecdfs)
+        assert len(bags) == 1 and stats["bags_dropped_small"] == 1
+        with pytest.raises(DataError, match="'D' has a value but no eCDF"):
+            build_bags(events + [LabEvent("Q", 0, "B", None)], vocab, ecdfs)
+
+    # Recorded before the columnar rewrite; any change in bag order, token,
+    # value, null flag, dtype or count shows here.
+    GOLDEN = {"continuous": "8d953689d66e767f70e27b9e9b64fffbffee58ac1efeb43c4e20986440259dac",
+              "decile": "35ba43d705cd3718368184df6250e654e7cfcf319cc965e4f731f75688caaad7"}
+
+    @pytest.mark.parametrize("mode", ["continuous", "decile"])
+    def test_golden_digest_of_messy_corpora(self, mode):
+        h = hashlib.sha256()
+        for seed in range(3):
+            events, by_mode = _messy_corpus(seed)
+            vocab, ecdfs = by_mode[mode]
+            _bags_digest(h, *build_bags(events, vocab, ecdfs))
+        assert h.hexdigest() == self.GOLDEN[mode]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(st.sampled_from(["P1", "P10", "P2", "Q"]),
+                              st.sampled_from([0, 60, 3600]),
+                              st.sampled_from(["A", "B", "C", "Z"]),
+                              st.one_of(st.none(), st.floats(-20, 20))),
+                    max_size=60),
+           st.sampled_from(["continuous", "decile"]))
+    def test_table_read_from_csv_equals_event_list(self, rows, mode):
+        counts = {"A": 30, "B": 20, "C": 10}
+        ecdfs = {c: build_ecdf(c, np.arange(1, 11, dtype=float)) for c in counts}
+        vocab = (build_continuous_vocab(counts) if mode == "continuous"
+                 else build_decile_vocab(ecdfs, counts, ("C",)))
+        events = [LabEvent(*row) for row in rows]
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "events.csv")
+            write_events_csv(path, events)
+            table = read_event_table(path)
+        assert isinstance(table, EventTable) and table.to_events() == events
+        assert _bags_equal(build_bags(table, vocab, ecdfs), build_bags(events, vocab, ecdfs))
 
 
 class TestMasking:
@@ -287,6 +442,33 @@ class TestShards:
         (s1,) = write_shards(bags, tmp_path / "a", shard_size=100)
         (s2,) = write_shards(bags, tmp_path / "b", shard_size=100)
         assert open(s1.path, "rb").read() == open(s2.path, "rb").read()
+
+    def test_failed_write_keeps_old_shard_and_no_temp_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        vocab, _ = _toy_vocab_and_ecdfs()
+        (shard,) = write_shards(_toy_bags(3, rng, vocab), tmp_path, shard_size=10)
+        before = open(shard.path, "rb").read()
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, data):
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(corpus, "open", lambda p, mode: DiskFull(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write_shards(_toy_bags(5, rng, vocab), tmp_path, shard_size=10)
+        assert open(shard.path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["shard-00000.bin"]
 
 
 class TestGradientThroughPadding:

@@ -4,31 +4,19 @@ No positional information anywhere: the layer is permutation-equivariant over
 the length axis, which is what lets the models treat inputs as bags. Padded
 key positions get an additive -1e9 logit before the softmax (their weights
 underflow to exactly zero in float64); padded query rows are zeroed on output.
+
+The layer's parameters are a mapping from `attention_spec` name (`wq` ... `bo`)
+to tensor; a model block passes its own `attn.` entries under those names.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 from . import tape
-from .tape import TapeTensor, init_tensors
 
 PAD_LOGIT = -1e9
-
-
-@dataclass
-class AttentionParams:
-    wq: TapeTensor
-    bq: TapeTensor
-    wk: TapeTensor
-    bk: TapeTensor
-    wv: TapeTensor
-    bv: TapeTensor
-    wo: TapeTensor
-    bo: TapeTensor
 
 
 def attention_spec(d_model: int, num_heads: int, key_dim: int) -> list:
@@ -42,18 +30,16 @@ def attention_spec(d_model: int, num_heads: int, key_dim: int) -> list:
             ("wo", (hk, d_model), "glorot"), ("bo", (d_model,), "zeros")]
 
 
-def init_attention_params(rng, d_model: int, num_heads: int, key_dim: int) -> AttentionParams:
-    return AttentionParams(**init_tensors(rng, attention_spec(d_model, num_heads, key_dim)))
-
-
 def multi_head_attention(
     x,
-    params: AttentionParams,
+    params: dict,
     num_heads: int,
     key_dim: int,
     pad_mask: np.ndarray | None = None,
 ):
     """Self-attention over x [b, L, d_model] -> [b, L, d_model].
+
+    params maps each `attention_spec` name to its tensor.
 
     pad_mask [b, L] marks padding with True; padded positions neither attend
     nor get attended to, and a fully padded row comes out all zero.
@@ -61,18 +47,18 @@ def multi_head_attention(
     if num_heads < 1 or key_dim < 1:
         raise ConfigError(f"num_heads and key_dim must be >= 1, got {num_heads}, {key_dim}")
     b, length, d_model = x.shape
-    if params.wq.shape[0] != d_model:
+    if params["wq"].shape[0] != d_model:
         raise DimensionError(
-            f"input feature size {d_model} does not match projection {params.wq.shape}"
+            f"input feature size {d_model} does not match projection {params['wq'].shape}"
         )
 
     def split_heads(t):
         t = tape.reshape(t, (b, length, num_heads, key_dim))
         return tape.swapaxes(t, 1, 2)
 
-    q = split_heads(tape.linear(x, params.wq, params.bq))
-    k = split_heads(tape.linear(x, params.wk, params.bk))
-    v = split_heads(tape.linear(x, params.wv, params.bv))
+    q = split_heads(tape.linear(x, params["wq"], params["bq"]))
+    k = split_heads(tape.linear(x, params["wk"], params["bk"]))
+    v = split_heads(tape.linear(x, params["wv"], params["bv"]))
 
     scores = tape.matmul(q, tape.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(key_dim))
     if pad_mask is not None and pad_mask.any():
@@ -82,7 +68,7 @@ def multi_head_attention(
 
     ctx = tape.matmul(weights, v)
     ctx = tape.reshape(tape.swapaxes(ctx, 1, 2), (b, length, num_heads * key_dim))
-    out = tape.linear(ctx, params.wo, params.bo)
+    out = tape.linear(ctx, params["wo"], params["bo"])
     if pad_mask is not None and pad_mask.any():
         out = out * (~pad_mask).astype(out.data.dtype)[:, :, None]
     return out

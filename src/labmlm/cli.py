@@ -90,16 +90,21 @@ def _write_json(path, obj):
     write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
+def _read_json_object(path, what: str) -> dict:
+    try:
+        loaded = json.loads(Path(path).read_bytes())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return loaded
+
+
 def _resolve_config(defaults: dict, config_path, args) -> dict:
     """Layer a JSON config file over defaults, then let explicit flags win."""
     resolved = dict(defaults)
     if config_path is not None:
-        try:
-            loaded = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{config_path}: not valid JSON ({e})") from None
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{config_path}: config must be a JSON object")
+        loaded = _read_json_object(config_path, "config")
         unknown = sorted(set(loaded) - set(resolved))
         if unknown:
             raise ConfigError(f"{config_path}: unknown config keys {unknown}")
@@ -299,10 +304,15 @@ def cmd_impute(args, out: _Outputs) -> int:
 
 def _load_grid(path) -> dict:
     allowed = {"epochs_grid", "batch_grid", "lr_grid", "dropout_grid"}
-    loaded = json.loads(Path(path).read_text())
+    loaded = _read_json_object(path, "grid")
     unknown = sorted(set(loaded) - allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown grid keys {unknown}")
+    for key, values in loaded.items():
+        if not (isinstance(values, list) and values
+                and all(isinstance(v, (int, float)) for v in values)):
+            raise ConfigError(f"{path}: {key} must be a non-empty list of numbers, "
+                              f"got {values!r}")
     return {k: tuple(v) for k, v in loaded.items()}
 
 

@@ -15,6 +15,10 @@ learning rate, dropout rate and generator. The grid search trains the
 learning-rate x dropout cells that share a replicate, a fold, epochs and a
 batch size as one stack; every member ends bit-identical to the same head
 trained alone.
+
+A head's tensors live in one mapping keyed by the names that
+`init_finetune_head`'s spec declares (`extra_w`, `extra_b`, `dense_w`, ...),
+in spec order, and the forward reads them by name.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import csv
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +74,9 @@ class FinetuneConfig:
         for name in ("epochs_grid", "batch_grid", "lr_grid", "dropout_grid"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")
+        for name in ("epochs_grid", "batch_grid"):
+            if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in getattr(self, name)):
+                raise ConfigError(f"{name} must hold integers >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -88,13 +95,11 @@ def load_finetune_csv(csv_path, sidecar_path, vocab) -> FinetuneDataset:
     """Read a labeled feature table; the sidecar says which columns are labs.
 
     Declared lab columns whose code is not in the vocabulary are routed to
-    the extra-feature path instead of being dropped.
+    the extra-feature path instead of being dropped. An empty or NaN lab
+    value means missing; an infinite lab value, or a non-finite extra
+    feature, raises DataError naming its line and column.
     """
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    label_col = sidecar["label"]
-    lab_cols = list(sidecar.get("lab_codes", []))
-    extra_cols = list(sidecar.get("extra_features", []))
+    label_col, lab_cols, extra_cols = _read_sidecar(sidecar_path)
 
     in_vocab = [c for c in lab_cols if vocab.contains(c)]
     rerouted = [c for c in lab_cols if not vocab.contains(c)]
@@ -110,13 +115,19 @@ def load_finetune_csv(csv_path, sidecar_path, vocab) -> FinetuneDataset:
             raise DataError(f"{csv_path}: missing columns {missing}")
         labels, labs, extras = [], [], []
         for ln, row in enumerate(reader, start=2):
+            if None in row.values():
+                raise DataError(f"{csv_path} line {ln}: fewer fields than the header")
             try:
                 labels.append(float(row[label_col]))
-                labs.append([float(row[c]) if row[c] not in ("", "nan") else np.nan
-                             for c in in_vocab])
+                labs.append([np.nan if row[c] == "" else float(row[c]) for c in in_vocab])
                 extras.append([float(row[c]) for c in extra_cols])
             except ValueError as exc:
                 raise DataError(f"{csv_path} line {ln}: {exc}") from None
+            bad = [c for c, v in zip(in_vocab, labs[-1]) if np.isinf(v)]
+            bad += [c for c, v in zip(extra_cols, extras[-1]) if not np.isfinite(v)]
+            if bad:
+                raise DataError(f"{csv_path} line {ln}: column {bad[0]!r} has "
+                                f"non-finite value {row[bad[0]]!r}")
     if not labels:
         raise DataError(f"{csv_path}: no data rows")
     return FinetuneDataset(
@@ -126,6 +137,22 @@ def load_finetune_csv(csv_path, sidecar_path, vocab) -> FinetuneDataset:
         extras=np.asarray(extras, dtype=float).reshape(len(labels), len(extra_cols)),
         extra_names=extra_cols,
     )
+
+
+def _read_sidecar(path) -> tuple:
+    """(label column, lab columns, extra columns) from a column-role JSON object."""
+    try:
+        with open(path, "rb") as fh:
+            sidecar = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(sidecar, dict) or not isinstance(sidecar.get("label"), str):
+        raise DataError(f'{path}: sidecar must be a JSON object whose "label" names a column')
+    roles = {key: sidecar.get(key, []) for key in ("lab_codes", "extra_features")}
+    for key, cols in roles.items():
+        if not isinstance(cols, list) or not all(isinstance(c, str) for c in cols):
+            raise DataError(f"{path}: {key!r} must be a list of column names")
+    return sidecar["label"], roles["lab_codes"], roles["extra_features"]
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +202,20 @@ def pool_embeddings(base: ModelParams, bags, batch_size: int = 128) -> np.ndarra
 
 @dataclass
 class FinetuneHead:
-    """A task head; its tensor fields are named and ordered as init_finetune_head's spec."""
+    """A task head's tensors keyed by init_finetune_head's spec names, in spec order."""
     task_kind: str
-    extra_w: TapeTensor | None = field(default=None, kw_only=True)
-    extra_b: TapeTensor | None = field(default=None, kw_only=True)
-    dense_w: TapeTensor
-    dense_b: TapeTensor
-    out_w: TapeTensor
-    out_b: TapeTensor
+    by_name: dict = field(repr=False)
 
     @property
     def stacked(self) -> bool:
         """True when every tensor carries a leading member axis."""
-        return self.dense_w.ndim == 3
+        return self.by_name["dense_w"].ndim == 3
 
     def named_tensors(self):
-        """(name, tensor) in field order, without the absent extras."""
-        return [(f.name, t) for f in fields(self)
-                if isinstance(t := getattr(self, f.name), TapeTensor)]
+        return list(self.by_name.items())
 
     def tensors(self):
-        return [t for _, t in self.named_tensors()]
+        return list(self.by_name.values())
 
 
 def _is_bias(name: str) -> bool:
@@ -214,7 +234,7 @@ def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2) -> Finetun
         width += n_extra
     spec += [("dense_w", (width, width), "glorot"), ("dense_b", (width,), "zeros"),
              ("out_w", (width, out_dim), "glorot"), ("out_b", (out_dim,), "zeros")]
-    return FinetuneHead(task_kind, **init_tensors(rng, spec))
+    return FinetuneHead(task_kind, init_tensors(rng, spec))
 
 
 def stack_heads(heads) -> FinetuneHead:
@@ -224,18 +244,19 @@ def stack_heads(heads) -> FinetuneHead:
     bias broadcasts over each member's batch rows.
     """
     stacked = {}
-    for name, _ in heads[0].named_tensors():
-        data = np.stack([getattr(h, name).data for h in heads])
+    for name in heads[0].by_name:
+        data = np.stack([h.by_name[name].data for h in heads])
         stacked[name] = TapeTensor(data[:, None, :] if _is_bias(name) else data, trainable=True)
-    return replace(heads[0], **stacked)
+    return FinetuneHead(heads[0].task_kind, stacked)
 
 
 def unstack_heads(stack: FinetuneHead) -> list:
     """One head per member whose tensors view the stack's arrays."""
-    return [replace(stack, **{name: TapeTensor(t.data[m, 0] if _is_bias(name) else t.data[m],
-                                               trainable=True)
-                              for name, t in stack.named_tensors()})
-            for m in range(stack.dense_w.shape[0])]
+    return [FinetuneHead(stack.task_kind,
+                         {name: TapeTensor(t.data[m, 0] if _is_bias(name) else t.data[m],
+                                           trainable=True)
+                          for name, t in stack.by_name.items()})
+            for m in range(stack.by_name["dense_w"].shape[0])]
 
 
 def _member_dropout(z, rates, rngs, training) -> TapeTensor:
@@ -266,19 +287,20 @@ def head_logits(head: FinetuneHead, pooled, extras=None, training=False,
 
     A stacked head takes one dropout rate and one generator per member.
     """
+    p = head.by_name
     x = pooled if isinstance(pooled, TapeTensor) else TapeTensor(np.asarray(pooled))
-    if head.extra_w is not None:
-        if extras is None or np.asarray(extras).shape[-1] != head.extra_w.shape[-2]:
-            raise ConfigError("head expects extra features of width "
-                              f"{head.extra_w.shape[-2]}")
-        e = tape.relu(tape.matmul(TapeTensor(np.asarray(extras)), head.extra_w) + head.extra_b)
+    if "extra_w" in p:
+        width = p["extra_w"].shape[-2]
+        if extras is None or np.asarray(extras).shape[-1] != width:
+            raise ConfigError(f"head expects extra features of width {width}")
+        e = tape.relu(tape.matmul(TapeTensor(np.asarray(extras)), p["extra_w"]) + p["extra_b"])
         x = tape.concat([x, e], axis=-1)
-    z = tape.relu(tape.matmul(x, head.dense_w) + head.dense_b)
+    z = tape.relu(tape.matmul(x, p["dense_w"]) + p["dense_b"])
     if head.stacked:
         z = _member_dropout(z, dropout, rng, training)
     else:
         z = tape.dropout(z, dropout, rng, training)
-    logits = tape.matmul(z, head.out_w) + head.out_b
+    logits = tape.matmul(z, p["out_w"]) + p["out_b"]
     if head.task_kind != TASK_MULTICLASS:
         logits = tape.reshape(logits, logits.shape[:-1])
     return logits
@@ -349,13 +371,13 @@ def _train_stack(stack, pooled, extras, labels, epochs, batch_size, learning_rat
     n = len(labels)
     if batch_size > n:
         raise ConfigError(f"batch_size {batch_size} exceeds {n} training samples")
-    members = stack.dense_w.shape[0]
+    members = stack.by_name["dense_w"].shape[0]
     if not len(learning_rates) == len(dropouts) == len(seeds) == members:
         raise ConfigError(f"a stack of {members} heads needs {members} learning rates, "
                           "dropout rates and seeds")
     rngs = [np.random.default_rng(s) for s in seeds]
     tensors = stack.tensors()
-    lrs = np.asarray(learning_rates, dtype=stack.dense_w.data.dtype)
+    lrs = np.asarray(learning_rates, dtype=stack.by_name["dense_w"].data.dtype)
     adam = AdamState(tensors, lrs.reshape(-1, 1, 1))
     pooled = np.asarray(pooled)
     extras = None if extras is None else np.asarray(extras)

@@ -16,9 +16,11 @@ unsorted afterwards. Reordering a bag therefore permutes outputs bit-exactly,
 not just to rounding tolerance.
 
 `param_spec` is the one declaration of the parameters: each one's name, shape
-and init, in order. Initialization, counting, `named_tensors` and the
-checkpoint checks all derive from it, so old checkpoints keep loading and a
-seed keeps drawing the same weights.
+and init, in order. A model's tensors live in one mapping keyed by those names,
+and the forwards read them by name (`embedding`, `block0.attn.wq`, ...).
+Initialization, counting, `named_tensors` and the checkpoint checks all derive
+from the spec, so old checkpoints keep loading and a seed keeps drawing the
+same weights.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tape
-from .attention import AttentionParams, attention_spec, multi_head_attention
+from .attention import attention_spec, multi_head_attention
 from .corpus import Batch
 from .ecdf import MODE_CONTINUOUS, MODE_DECILE
 from .errors import ConfigError, DataError, FormatError, VocabError
@@ -110,39 +112,10 @@ class ModelConfig:
 
 
 @dataclass
-class BlockParams:
-    attn: AttentionParams
-    ln1_gain: TapeTensor
-    ln1_bias: TapeTensor
-    ff1_w: TapeTensor
-    ff1_b: TapeTensor
-    ff2_w: TapeTensor
-    ff2_b: TapeTensor
-    ln2_gain: TapeTensor
-    ln2_bias: TapeTensor
-
-
-@dataclass
 class ModelParams:
-    """Typed fields for the forwards; `by_name` holds the same tensors in param_spec order."""
+    """A model's tensors keyed by param_spec name, in spec order."""
     config: ModelConfig
     by_name: dict = field(repr=False)
-    embedding: TapeTensor
-    blocks: list
-    head_w1: TapeTensor
-    head_b1: TapeTensor
-    head_w2: TapeTensor
-    head_b2: TapeTensor
-    value_w: TapeTensor | None = None
-    value_b: TapeTensor | None = None
-    vdense_w: TapeTensor | None = None
-    vdense_b: TapeTensor | None = None
-    vln_gain: TapeTensor | None = None
-    vln_bias: TapeTensor | None = None
-    chead_w1: TapeTensor | None = None
-    chead_b1: TapeTensor | None = None
-    chead_w2: TapeTensor | None = None
-    chead_b2: TapeTensor | None = None
 
     def named_tensors(self):
         return list(self.by_name.items())
@@ -186,18 +159,7 @@ def _spec_groups(config: ModelConfig) -> dict:
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Fresh trainable parameters: glorot-uniform denses, N(0, 0.02^2) embeddings."""
-    return _assemble_params(config, init_tensors(np.random.default_rng(seed), param_spec(config)))
-
-
-def _assemble_params(config: ModelConfig, tensors: dict) -> ModelParams:
-    """ModelParams over tensors keyed by param_spec name, in spec order."""
-    def fields(prefix):
-        return {n[len(prefix):]: t for n, t in tensors.items()
-                if n.startswith(prefix) and "." not in n[len(prefix):]}
-
-    blocks = [BlockParams(AttentionParams(**fields(f"block{i}.attn.")), **fields(f"block{i}."))
-              for i in range(config.num_layers)]
-    return ModelParams(config, tensors, blocks=blocks, **fields(""))
+    return ModelParams(config, init_tensors(np.random.default_rng(seed), param_spec(config)))
 
 
 def count_params(config: ModelConfig):
@@ -221,8 +183,9 @@ def categorical_embed(tokens: np.ndarray, params: ModelParams) -> TapeTensor:
     rows = params.config.embed_rows
     if tokens.size and (tokens.min() < 0 or tokens.max() >= rows):
         raise VocabError(f"token out of range [0, {rows}): min={tokens.min()}, max={tokens.max()}")
-    emb = tape.embedding_lookup(params.embedding, tokens)
-    keep = (tokens != 0).astype(params.embedding.data.dtype)[..., None]
+    table = params.by_name["embedding"]
+    emb = tape.embedding_lookup(table, tokens)
+    keep = (tokens != 0).astype(table.data.dtype)[..., None]
     return tape.mul(emb, keep)
 
 
@@ -239,10 +202,11 @@ def continuous_embed(values, token_embeddings, null_flags: np.ndarray,
         raise DataError("value outside [0, 1] at a non-null position")
     if not isinstance(values, TapeTensor):
         values = TapeTensor(vals_data)
-    proj = tape.linear(tape.reshape(values, (*vals_data.shape, 1)), params.value_w, params.value_b)
+    p = params.by_name
+    proj = tape.linear(tape.reshape(values, (*vals_data.shape, 1)), p["value_w"], p["value_b"])
     x = proj + token_embeddings
-    x = tape.relu(tape.linear(x, params.vdense_w, params.vdense_b))
-    return tape.layer_norm(x, params.vln_gain, params.vln_bias)
+    x = tape.relu(tape.linear(x, p["vdense_w"], p["vdense_b"]))
+    return tape.layer_norm(x, p["vln_gain"], p["vln_bias"])
 
 
 def backbone_forward(x, pad_mask, params: ModelParams, training: bool = False,
@@ -251,28 +215,37 @@ def backbone_forward(x, pad_mask, params: ModelParams, training: bool = False,
     cfg = params.config
     if training and cfg.dropout_rate > 0.0 and rng is None:
         raise ConfigError("training with dropout needs an rng")
-    for blk in params.blocks:
-        a = multi_head_attention(x, blk.attn, cfg.num_heads, cfg.key_dim, pad_mask)
+    for i in range(cfg.num_layers):
+        blk = _scope(params.by_name, f"block{i}.")
+        a = multi_head_attention(x, _scope(blk, "attn."), cfg.num_heads, cfg.key_dim, pad_mask)
         a = tape.dropout(a, cfg.dropout_rate, rng, training)
-        x = tape.layer_norm(x + a, blk.ln1_gain, blk.ln1_bias)
-        f = tape.linear(tape.relu(tape.linear(x, blk.ff1_w, blk.ff1_b)), blk.ff2_w, blk.ff2_b)
+        x = tape.layer_norm(x + a, blk["ln1_gain"], blk["ln1_bias"])
+        f = tape.linear(tape.relu(tape.linear(x, blk["ff1_w"], blk["ff1_b"])),
+                        blk["ff2_w"], blk["ff2_b"])
         f = tape.dropout(f, cfg.dropout_rate, rng, training)
-        x = tape.layer_norm(x + f, blk.ln2_gain, blk.ln2_bias)
+        x = tape.layer_norm(x + f, blk["ln2_gain"], blk["ln2_bias"])
     return x
+
+
+def _scope(tensors: dict, prefix: str) -> dict:
+    """The entries under `prefix`, keyed by the rest of their name."""
+    return {n[len(prefix):]: t for n, t in tensors.items() if n.startswith(prefix)}
 
 
 def categorical_head(h, params: ModelParams) -> TapeTensor:
     """ReLU dense then softmax; rows are probability vectors."""
-    z = tape.relu(tape.linear(h, params.head_w1, params.head_b1))
-    logits = tape.linear(z, params.head_w2, params.head_b2)
+    p = params.by_name
+    z = tape.relu(tape.linear(h, p["head_w1"], p["head_b1"]))
+    logits = tape.linear(z, p["head_w2"], p["head_b2"])
     return tape.softmax(logits, axis=-1)
 
 
 def continuous_head(h, probs, params: ModelParams) -> TapeTensor:
     """Sigmoid value prediction from final embeddings joined with code probs."""
     z = tape.concat([h, probs], axis=-1)
-    z = tape.relu(tape.linear(z, params.chead_w1, params.chead_b1))
-    out = tape.sigmoid(tape.linear(z, params.chead_w2, params.chead_b2))
+    p = params.by_name
+    z = tape.relu(tape.linear(z, p["chead_w1"], p["chead_b1"]))
+    out = tape.sigmoid(tape.linear(z, p["chead_w2"], p["chead_b2"]))
     return tape.reshape(out, out.shape[:-1])
 
 
@@ -345,7 +318,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
     The file appears at `path` only once it is complete.
     """
     named = params.named_tensors()
-    dtype = "<f8" if params.embedding.data.dtype == np.float64 else "<f4"
+    dtype = "<f8" if params.by_name["embedding"].data.dtype == np.float64 else "<f4"
     index = []
     offset = 0
     blobs = []
@@ -423,4 +396,4 @@ def load_checkpoint(path) -> ModelParams:
             offset += n
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise FormatError(f"{path}: bad manifest: {exc!r}") from None
-    return _assemble_params(config, tensors)
+    return ModelParams(config, tensors)

@@ -38,19 +38,18 @@ class AdamState:
             self.v = [np.zeros_like(p.data) for p in self.params]
 
 
-def adam_step(state: AdamState, grads=None) -> None:
-    """One bias-corrected Adam update in place.
+def adam_step(state: AdamState) -> None:
+    """One bias-corrected Adam update in place, from each parameter's .grad.
 
-    Gradients default to each parameter's .grad; a parameter whose gradient is
-    None is skipped entirely. A fresh state stepped with zero gradients leaves
-    parameters unchanged.
+    A parameter whose gradient is None is skipped entirely. A fresh state
+    stepped with zero gradients leaves parameters unchanged.
     """
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
     for i, p in enumerate(state.params):
-        g = grads[i] if grads is not None else p.grad
+        g = p.grad
         if g is None:
             continue
         m = state.m[i]

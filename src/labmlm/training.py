@@ -77,20 +77,10 @@ def multitask_loss(code_probs, value_preds, batch: Batch) -> LossParts:
     Both terms are means over their contributing positions; a batch whose
     masked truths are all null has MSE exactly 0.
     """
-    rows, cols = batch.mask_rows, batch.mask_cols
-    if len(rows) == 0:
-        raise ContractError("multitask_loss needs at least one masked position")
-    width = code_probs.shape[-1]
-    if batch.truth_tokens.min() < 1 or batch.truth_tokens.max() > width:
-        raise VocabError(f"masked truth token outside [1, {width}]")
-
-    p_rows = tape.take_bl(code_probs, rows, cols)
-    p_true = tape.take_along_last(p_rows, batch.truth_tokens - 1)
-    ce = tape.neg(tape.tmean(tape.log(p_true)))
-
+    ce = _masked_ce(code_probs, batch, "multitask_loss")
     live = ~batch.truth_nulls
     if live.any():
-        preds = tape.take_bl(value_preds, rows[live], cols[live])
+        preds = tape.take_bl(value_preds, batch.mask_rows[live], batch.mask_cols[live])
         diff = preds - batch.truth_values[live]
         mse = tape.tmean(tape.mul(diff, diff))
     else:
@@ -100,13 +90,18 @@ def multitask_loss(code_probs, value_preds, batch: Batch) -> LossParts:
 
 def decile_mlm_loss(token_probs, batch: Batch) -> TapeTensor:
     """CE over masked token identities in the decile vocabulary."""
+    return _masked_ce(token_probs, batch, "decile_mlm_loss")
+
+
+def _masked_ce(probs, batch: Batch, loss_name: str) -> TapeTensor:
+    """-mean log p of each masked position's truth token; token t is column t - 1."""
     rows, cols = batch.mask_rows, batch.mask_cols
     if len(rows) == 0:
-        raise ContractError("decile_mlm_loss needs at least one masked position")
-    width = token_probs.shape[-1]
+        raise ContractError(f"{loss_name} needs at least one masked position")
+    width = probs.shape[-1]
     if batch.truth_tokens.min() < 1 or batch.truth_tokens.max() > width:
         raise VocabError(f"masked truth token outside [1, {width}]")
-    p_rows = tape.take_bl(token_probs, rows, cols)
+    p_rows = tape.take_bl(probs, rows, cols)
     p_true = tape.take_along_last(p_rows, batch.truth_tokens - 1)
     return tape.neg(tape.tmean(tape.log(p_true)))
 

@@ -453,8 +453,8 @@ def test_criterion_9_loss_identities():
         rng = np.random.default_rng(8)
         cfg = ModelConfig("continuous", 532, 16, 1, 2, 16)
         params = init_params(cfg, seed=8)
-        params.head_w2.data[...] = 0.0
-        params.head_b2.data[...] = 0.0
+        params.by_name["head_w2"].data[...] = 0.0
+        params.by_name["head_b2"].data[...] = 0.0
         bag = mask_bag(make_bag(rng, cfg.num_codes, 6), cfg.mask_token, rng, n_mask=2)
         batch = pad_batch([bag])
         probs, preds = forward_continuous(params, batch)

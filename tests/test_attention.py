@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from labmlm.attention import init_attention_params, multi_head_attention
+from labmlm.attention import attention_spec, multi_head_attention
 from labmlm.errors import ConfigError
-from labmlm.tape import Tape, TapeTensor
+from labmlm.tape import Tape, TapeTensor, init_tensors
 
 from gradcheck import assert_grads_close
 
@@ -15,9 +15,9 @@ def _loop_oracle(x, p, num_heads, key_dim, pad_mask=None):
     b, L, d = x.shape
     out = np.zeros((b, L, d))
     for bi in range(b):
-        q = x[bi] @ p.wq.data + p.bq.data
-        k = x[bi] @ p.wk.data + p.bk.data
-        v = x[bi] @ p.wv.data + p.bv.data
+        q = x[bi] @ p["wq"].data + p["bq"].data
+        k = x[bi] @ p["wk"].data + p["bk"].data
+        v = x[bi] @ p["wv"].data + p["bv"].data
         ctx = np.zeros((L, num_heads * key_dim))
         for h in range(num_heads):
             sl = slice(h * key_dim, (h + 1) * key_dim)
@@ -27,7 +27,7 @@ def _loop_oracle(x, p, num_heads, key_dim, pad_mask=None):
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             w = e / e.sum(axis=-1, keepdims=True)
             ctx[:, sl] = w @ v[:, sl]
-        o = ctx @ p.wo.data + p.bo.data
+        o = ctx @ p["wo"].data + p["bo"].data
         if pad_mask is not None:
             o = o * (~pad_mask[bi]).astype(float)[:, None]
         out[bi] = o
@@ -38,17 +38,17 @@ def test_single_element_bag_reduces_to_value_path():
     """With L=1 the softmax weight is 1, so output = Wo(Wv x + bv) + bo."""
     rng = np.random.default_rng(0)
     d = 6
-    p = init_attention_params(rng, d, 2, 3)
+    p = init_tensors(rng, attention_spec(d, 2, 3))
     x = rng.normal(size=(1, 1, d))
     y = multi_head_attention(TapeTensor(x), p, 2, 3).data
-    want = (x[0] @ p.wv.data + p.bv.data) @ p.wo.data + p.bo.data
+    want = (x[0] @ p["wv"].data + p["bv"].data) @ p["wo"].data + p["bo"].data
     np.testing.assert_allclose(y[0], want, atol=1e-12)
 
 
 def test_matches_loop_oracle():
     rng = np.random.default_rng(1)
     d, h, k = 4, 1, 4
-    p = init_attention_params(rng, d, h, k)
+    p = init_tensors(rng, attention_spec(d, h, k))
     x = rng.normal(size=(1, 3, d))
     got = multi_head_attention(TapeTensor(x), p, h, k).data
     np.testing.assert_allclose(got, _loop_oracle(x, p, h, k), atol=1e-10)
@@ -57,7 +57,7 @@ def test_matches_loop_oracle():
 def test_matches_loop_oracle_multihead_masked():
     rng = np.random.default_rng(2)
     d, h, k = 8, 2, 4
-    p = init_attention_params(rng, d, h, k)
+    p = init_tensors(rng, attention_spec(d, h, k))
     x = rng.normal(size=(3, 5, d))
     pad = np.zeros((3, 5), bool)
     pad[0, 4:] = True
@@ -68,7 +68,7 @@ def test_matches_loop_oracle_multihead_masked():
 
 def test_fully_padded_row_outputs_zero():
     rng = np.random.default_rng(3)
-    p = init_attention_params(rng, 4, 2, 2)
+    p = init_tensors(rng, attention_spec(4, 2, 2))
     x = rng.normal(size=(2, 3, 4))
     pad = np.zeros((2, 3), bool)
     pad[1, :] = True
@@ -80,7 +80,7 @@ def test_fully_padded_row_outputs_zero():
 def test_padded_keys_get_exactly_zero_weight():
     """-1e9 logits underflow in float64, so masked keys contribute nothing."""
     rng = np.random.default_rng(4)
-    p = init_attention_params(rng, 4, 1, 4)
+    p = init_tensors(rng, attention_spec(4, 1, 4))
     x = rng.normal(size=(1, 4, 4))
     pad = np.array([[False, False, True, True]])
     y_masked = multi_head_attention(TapeTensor(x), p, 1, 4, pad).data
@@ -92,7 +92,7 @@ def test_padded_keys_get_exactly_zero_weight():
 def test_permutation_equivariance():
     rng = np.random.default_rng(5)
     d, h, k = 6, 3, 2
-    p = init_attention_params(rng, d, h, k)
+    p = init_tensors(rng, attention_spec(d, h, k))
     x = rng.normal(size=(2, 7, d))
     y = multi_head_attention(TapeTensor(x), p, h, k).data
     for _ in range(10):
@@ -103,21 +103,21 @@ def test_permutation_equivariance():
 
 def test_invalid_heads_rejected():
     rng = np.random.default_rng(6)
-    p = init_attention_params(rng, 4, 2, 2)
+    p = init_tensors(rng, attention_spec(4, 2, 2))
     with pytest.raises(ConfigError):
         multi_head_attention(TapeTensor(np.zeros((1, 2, 4))), p, 0, 2)
     with pytest.raises(ConfigError):
-        init_attention_params(rng, 4, 2, 0)
+        attention_spec(4, 2, 0)
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     d, h, k = 4, 2, 2
-    p = init_attention_params(rng, d, h, k)
+    p = init_tensors(rng, attention_spec(d, h, k))
     x = TapeTensor(rng.normal(size=(2, 3, d)), trainable=True, name="x")
     pad = np.array([[False, False, True], [False, False, False]])
     w = rng.normal(size=(2, 3, d))
-    tensors = [x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo]
+    tensors = [x, p["wq"], p["bq"], p["wk"], p["bk"], p["wv"], p["bv"], p["wo"], p["bo"]]
 
     def f():
         return (multi_head_attention(x, p, h, k, pad) * w).sum()

@@ -307,6 +307,72 @@ class TestFinetune:
         assert report["baseline"]["best_c"] in (0.0001, 0.001, 0.01, 0.1)
         assert "best cell" in capsys.readouterr().out
 
+    def write_task(self, corpus_dir, tmp_path, extras=None, extra_names=()):
+        truth = json.loads((corpus_dir / "raw" / "truth.json").read_text())
+        vals, labels, code_ids = generate_outcome_dataset(truth, 40, seed=5)
+        write_outcome_csv(tmp_path / "task.csv", tmp_path / "task.json",
+                          vals, labels, code_ids, extras, extra_names)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"epochs_grid": [2], "batch_grid": [8],
+                                    "lr_grid": [0.01], "dropout_grid": [0.0]}))
+        return tmp_path / "task.csv", grid
+
+    def assert_named_failure(self, corpus_dir, run_dir, tmp_path, capsys, dataset, grid,
+                             want):
+        out = tmp_path / "ft"
+        assert run("finetune", "--checkpoint", run_dir / "checkpoints" / "final.ckpt",
+                   "--data", corpus_dir / "pp", "--dataset", dataset, "--grid", grid,
+                   "--replicates", 1, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert want in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, want", [
+        ('{"lab_codes": []}', '"label" names a column'),
+        ("[1, 2]", '"label" names a column'),
+        ("{oops", "not valid JSON"),
+    ])
+    def test_malformed_sidecar_is_a_named_error(self, corpus_dir, run_dir, tmp_path,
+                                                capsys, text, want):
+        dataset, grid = self.write_task(corpus_dir, tmp_path)
+        (tmp_path / "task.json").write_text(text)
+        self.assert_named_failure(corpus_dir, run_dir, tmp_path, capsys, dataset, grid,
+                                  want)
+
+    @pytest.mark.parametrize("text, want", [
+        ("{oops", "not valid JSON"),
+        ("[0.1]", "grid must be a JSON object"),
+        ('{"lr_grid": 0.1}', "lr_grid must be a non-empty list of numbers"),
+        ('{"lr_grid": []}', "lr_grid must be a non-empty list of numbers"),
+        ('{"dropout_grid": ["0.1"]}', "dropout_grid must be a non-empty list of numbers"),
+        ('{"epochs_grid": [1.5]}', "epochs_grid must hold integers >= 1"),
+    ])
+    def test_malformed_grid_is_a_named_error(self, corpus_dir, run_dir, tmp_path, capsys,
+                                             text, want):
+        dataset, grid = self.write_task(corpus_dir, tmp_path)
+        grid.write_text(text)
+        self.assert_named_failure(corpus_dir, run_dir, tmp_path, capsys, dataset, grid,
+                                  want)
+
+    def test_infinite_lab_is_a_named_error(self, corpus_dir, run_dir, tmp_path, capsys):
+        dataset, grid = self.write_task(corpus_dir, tmp_path)
+        lines = dataset.read_text().splitlines()
+        cells = lines[5].split(",")
+        column = lines[0].split(",")[1]
+        cells[1] = "inf"
+        lines[5] = ",".join(cells)
+        dataset.write_text("\n".join(lines) + "\n")
+        self.assert_named_failure(corpus_dir, run_dir, tmp_path, capsys, dataset, grid,
+                                  f"line 6: column '{column}' has non-finite value 'inf'")
+
+    def test_infinite_extra_is_a_named_error(self, corpus_dir, run_dir, tmp_path, capsys):
+        extras = np.linspace(0.0, 1.0, 40)[:, None]
+        extras[3, 0] = np.inf
+        dataset, grid = self.write_task(corpus_dir, tmp_path, extras, ["age"])
+        self.assert_named_failure(corpus_dir, run_dir, tmp_path, capsys, dataset, grid,
+                                  "line 5: column 'age' has non-finite value 'inf'")
+
 
 class TestDumpEmbeddings:
     def test_rows_cover_every_position(self, corpus_dir, run_dir, tmp_path):

@@ -85,6 +85,12 @@ class TestFinetuneConfig:
         with pytest.raises(ConfigError):
             FinetuneConfig(task_kind=TASK_MULTICLASS, n_classes=1)
 
+    @pytest.mark.parametrize("grid", [dict(epochs_grid=(1.5,)), dict(epochs_grid=(0,)),
+                                      dict(batch_grid=(8, -1)), dict(batch_grid=("8",))])
+    def test_epochs_and_batch_grids_need_positive_integers(self, grid):
+        with pytest.raises(ConfigError, match="must hold integers >= 1"):
+            FinetuneConfig(**grid)
+
 
 class TestDatasetIO:
     def write_files(self, tmp_path, rows, lab_codes, extra_cols, header):
@@ -130,6 +136,62 @@ class TestDatasetIO:
         with pytest.raises(DataError, match="line 3"):
             load_finetune_csv(csv_path, sidecar, vocab)
 
+    def test_nan_lab_is_missing(self, tmp_path):
+        vocab, _, _ = corpus_fixture()
+        code = vocab.codes[0]
+        csv_path, sidecar = self.write_files(
+            tmp_path, [[1, "nan"], [0, "NaN"], [1, 2.0]], lab_codes=[code],
+            extra_cols=[], header=["y", code])
+        ds = load_finetune_csv(csv_path, sidecar, vocab)
+        assert np.isnan(ds.lab_values[:2, 0]).all() and ds.lab_values[2, 0] == 2.0
+
+    def test_infinite_lab_names_line_and_column(self, tmp_path):
+        vocab, _, _ = corpus_fixture()
+        code = vocab.codes[0]
+        csv_path, sidecar = self.write_files(
+            tmp_path, [[1, 2.0], [0, "inf"]], lab_codes=[code],
+            extra_cols=[], header=["y", code])
+        with pytest.raises(DataError, match=rf"data\.csv line 3: column '{code}' "
+                                            r"has non-finite value 'inf'"):
+            load_finetune_csv(csv_path, sidecar, vocab)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_extra_names_line_and_column(self, tmp_path, value):
+        vocab, _, _ = corpus_fixture()
+        code = vocab.codes[0]
+        csv_path, sidecar = self.write_files(
+            tmp_path, [[1, 2.0, 40.0], [0, 3.0, value]], lab_codes=[code],
+            extra_cols=["age"], header=["y", code, "age"])
+        with pytest.raises(DataError, match=rf"data\.csv line 3: column 'age' "
+                                            rf"has non-finite value '{value}'"):
+            load_finetune_csv(csv_path, sidecar, vocab)
+
+    def test_short_row_names_line(self, tmp_path):
+        vocab, _, _ = corpus_fixture()
+        code = vocab.codes[0]
+        csv_path, sidecar = self.write_files(
+            tmp_path, [[1, 2.0, 40.0], [0, 3.0]], lab_codes=[code],
+            extra_cols=["age"], header=["y", code, "age"])
+        with pytest.raises(DataError, match="line 3: fewer fields than the header"):
+            load_finetune_csv(csv_path, sidecar, vocab)
+
+    @pytest.mark.parametrize("text, why", [
+        ('{"lab_codes": []}', '"label" names a column'),
+        ("[1, 2]", '"label" names a column'),
+        ('{"label": 3}', '"label" names a column'),
+        ('{"label": "y", "lab_codes": "C000"}', "'lab_codes' must be a list"),
+        ('{"label": "y", "extra_features": [1]}', "'extra_features' must be a list"),
+        ("{oops", "not valid JSON"),
+    ])
+    def test_bad_sidecar_is_a_data_error(self, tmp_path, text, why):
+        vocab, _, _ = corpus_fixture()
+        csv_path, sidecar = self.write_files(
+            tmp_path, [[1, 2.0]], lab_codes=[vocab.codes[0]],
+            extra_cols=[], header=["y", vocab.codes[0]])
+        sidecar.write_text(text)
+        with pytest.raises(DataError, match=why):
+            load_finetune_csv(csv_path, sidecar, vocab)
+
     def test_bags_skip_missing_and_need_one_value(self):
         vocab, ecdfs, _ = corpus_fixture()
         codes = list(vocab.codes)[:2]
@@ -172,15 +234,15 @@ class TestPooling:
 class TestHead:
     def test_no_extras_skips_concat(self):
         head = init_finetune_head(np.random.default_rng(0), 8, 0, TASK_BINARY)
-        assert head.extra_w is None
-        assert head.dense_w.shape == (8, 8)
+        assert "extra_w" not in head.by_name
+        assert head.by_name["dense_w"].shape == (8, 8)
         logits = head_logits(head, np.random.default_rng(1).normal(size=(4, 8)))
         assert logits.shape == (4,)
 
     def test_extras_widen_the_head(self):
         head = init_finetune_head(np.random.default_rng(0), 8, 3, TASK_BINARY)
-        assert head.extra_w.shape == (3, 3)
-        assert head.dense_w.shape == (11, 11)
+        assert head.by_name["extra_w"].shape == (3, 3)
+        assert head.by_name["dense_w"].shape == (11, 11)
         rng = np.random.default_rng(1)
         logits = head_logits(head, rng.normal(size=(4, 8)), rng.normal(size=(4, 3)))
         assert logits.shape == (4,)
@@ -293,15 +355,15 @@ class TestStackedHeads:
         heads = [self.fresh(TASK_MULTICLASS, m) for m in range(3)]
         stack = stack_heads(heads)
         assert stack.stacked and not heads[0].stacked
-        assert stack.extra_w.shape == (3, 2, 2)
-        assert stack.dense_b.shape == (3, 1, 8)
-        assert stack.out_w.shape == (3, 8, 3)
+        assert stack.by_name["extra_w"].shape == (3, 2, 2)
+        assert stack.by_name["dense_b"].shape == (3, 1, 8)
+        assert stack.by_name["out_w"].shape == (3, 8, 3)
         for head, member in zip(heads, unstack_heads(stack)):
             for a, b in zip(head.tensors(), member.tensors()):
                 np.testing.assert_array_equal(a.data, b.data)
         member = unstack_heads(stack)[1]
-        member.dense_w.data[0, 0] = 7.0
-        assert stack.dense_w.data[1, 0, 0] == 7.0
+        member.by_name["dense_w"].data[0, 0] = 7.0
+        assert stack.by_name["dense_w"].data[1, 0, 0] == 7.0
 
     @pytest.mark.parametrize("task_kind", [TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION])
     def test_stack_trains_exactly_like_its_members_alone(self, task_kind):

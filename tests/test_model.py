@@ -58,10 +58,10 @@ def randomize_params(params, rng, scale=0.5):
 
 
 def random_batch(rng, cfg, lengths, n_mask=1, with_null=False):
-    """Build a padded batch of synthetic bags for a continuous-mode config."""
+    """Build a padded batch of synthetic bags over a config's real tokens."""
     bags = []
     for i, L in enumerate(lengths):
-        tokens = rng.integers(1, cfg.num_codes + 1, size=L)
+        tokens = rng.integers(1, cfg.mask_token, size=L)
         values = rng.uniform(0.0, 1.0, size=L)
         nulls = np.zeros(L, dtype=bool)
         if with_null and L >= 2:
@@ -126,7 +126,7 @@ class TestCategoricalEmbed:
         params = init_params(cfg, seed=3)
         tokens = np.array([[1, 5, cfg.mask_token], [2, 2, 0]])
         out = categorical_embed(tokens, params)
-        table = params.embedding.data
+        table = params.by_name["embedding"].data
         assert np.array_equal(out.data[0, 0], table[1])
         assert np.array_equal(out.data[0, 2], table[cfg.mask_token])
 
@@ -149,7 +149,7 @@ class TestCategoricalEmbed:
         with Tape():
             out = categorical_embed(tokens, params)
             backward(tape.tsum(out))
-        g = params.embedding.grad
+        g = params.by_name["embedding"].grad
         assert np.all(g[3] == 1.0)
         assert np.all(np.delete(g, 3, axis=0) == 0.0)
 
@@ -166,12 +166,13 @@ class TestContinuousEmbed:
 
         got = continuous_embed(values, tok, nulls, params).data
 
-        proj = values[..., None] @ params.value_w.data + params.value_b.data
+        p = params.by_name
+        proj = values[..., None] @ p["value_w"].data + p["value_b"].data
         x = proj + tok.data
-        x = np.maximum(x @ params.vdense_w.data + params.vdense_b.data, 0.0)
+        x = np.maximum(x @ p["vdense_w"].data + p["vdense_b"].data, 0.0)
         mu = x.mean(-1, keepdims=True)
         var = ((x - mu) ** 2).mean(-1, keepdims=True)
-        want = (x - mu) / np.sqrt(var + 1e-5) * params.vln_gain.data + params.vln_bias.data
+        want = (x - mu) / np.sqrt(var + 1e-5) * p["vln_gain"].data + p["vln_bias"].data
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_value_out_of_range_rejected(self):
@@ -209,7 +210,7 @@ class TestBackbone:
         pad[1, 3:] = True
 
         got = backbone_forward(TapeTensor(x), pad, params).data
-        want = _block_oracle(x, params.blocks[0], cfg.num_heads, cfg.key_dim, pad)
+        want = _block_oracle(x, params.by_name, "block0.", cfg.num_heads, cfg.key_dim, pad)
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_training_with_dropout_needs_rng(self):
@@ -232,28 +233,29 @@ def _layer_norm_np(x, gain, bias, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * gain + bias
 
 
-def _mha_oracle(x, p, num_heads, key_dim, pad):
+def _mha_oracle(x, p, pre, num_heads, key_dim, pad):
     b, L, _ = x.shape
 
     def split(z):
         return z.reshape(b, L, num_heads, key_dim).transpose(0, 2, 1, 3)
 
-    q = split(x @ p.wq.data + p.bq.data)
-    k = split(x @ p.wk.data + p.bk.data)
-    v = split(x @ p.wv.data + p.bv.data)
+    q = split(x @ p[pre + "wq"].data + p[pre + "bq"].data)
+    k = split(x @ p[pre + "wk"].data + p[pre + "bk"].data)
+    v = split(x @ p[pre + "wv"].data + p[pre + "bv"].data)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(key_dim)
     scores = scores + np.where(pad, -1e9, 0.0)[:, None, None, :]
     attn = _softmax_np(scores)
     out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, L, num_heads * key_dim)
-    out = out @ p.wo.data + p.bo.data
+    out = out @ p[pre + "wo"].data + p[pre + "bo"].data
     return out * (~pad)[:, :, None]
 
 
-def _block_oracle(x, blk, num_heads, key_dim, pad):
-    a = _mha_oracle(x, blk.attn, num_heads, key_dim, pad)
-    x = _layer_norm_np(x + a, blk.ln1_gain.data, blk.ln1_bias.data)
-    f = np.maximum(x @ blk.ff1_w.data + blk.ff1_b.data, 0.0) @ blk.ff2_w.data + blk.ff2_b.data
-    return _layer_norm_np(x + f, blk.ln2_gain.data, blk.ln2_bias.data)
+def _block_oracle(x, p, pre, num_heads, key_dim, pad):
+    a = _mha_oracle(x, p, pre + "attn.", num_heads, key_dim, pad)
+    x = _layer_norm_np(x + a, p[pre + "ln1_gain"].data, p[pre + "ln1_bias"].data)
+    f = (np.maximum(x @ p[pre + "ff1_w"].data + p[pre + "ff1_b"].data, 0.0)
+         @ p[pre + "ff2_w"].data + p[pre + "ff2_b"].data)
+    return _layer_norm_np(x + f, p[pre + "ln2_gain"].data, p[pre + "ln2_bias"].data)
 
 
 class TestHeads:
@@ -269,8 +271,8 @@ class TestHeads:
     def test_zero_weights_give_uniform(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=1)
-        for t in (params.head_w1, params.head_b1, params.head_w2, params.head_b2):
-            t.data[...] = 0.0
+        for name in ("head_w1", "head_b1", "head_w2", "head_b2"):
+            params.by_name[name].data[...] = 0.0
         h = TapeTensor(np.random.default_rng(2).normal(size=(1, 2, cfg.d_model)))
         probs = categorical_head(h, params).data
         assert np.max(np.abs(probs - 1.0 / cfg.num_codes)) < 1e-12
@@ -280,8 +282,9 @@ class TestHeads:
         params = init_params(cfg, seed=4)
         h = np.random.default_rng(4).normal(size=(2, 3, cfg.d_model))
         got = categorical_head(TapeTensor(h), params).data
-        z = np.maximum(h @ params.head_w1.data + params.head_b1.data, 0.0)
-        want = _softmax_np(z @ params.head_w2.data + params.head_b2.data)
+        p = params.by_name
+        z = np.maximum(h @ p["head_w1"].data + p["head_b1"].data, 0.0)
+        want = _softmax_np(z @ p["head_w2"].data + p["head_b2"].data)
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_continuous_matches_oracle_and_range(self):
@@ -292,8 +295,9 @@ class TestHeads:
         probs = _softmax_np(rng.normal(size=(2, 3, cfg.num_codes)))
         got = continuous_head(TapeTensor(h), TapeTensor(probs), params).data
         z = np.concatenate([h, probs], axis=-1)
-        z = np.maximum(z @ params.chead_w1.data + params.chead_b1.data, 0.0)
-        want = 1.0 / (1.0 + np.exp(-(z @ params.chead_w2.data + params.chead_b2.data)))
+        p = params.by_name
+        z = np.maximum(z @ p["chead_w1"].data + p["chead_b1"].data, 0.0)
+        want = 1.0 / (1.0 + np.exp(-(z @ p["chead_w2"].data + p["chead_b2"].data)))
         assert got.shape == (2, 3)
         assert np.max(np.abs(got - want[..., 0])) < 1e-10
         assert np.all((got > 0.0) & (got < 1.0))
@@ -438,21 +442,27 @@ class TestForwards:
 
 
 class TestGradientFlow:
-    def test_every_trainable_gets_gradient(self):
-        """Dead-parameter screen over a full forward with masks and nulls.
+    @pytest.mark.parametrize("mode", ["continuous", "decile"])
+    def test_every_trainable_gets_gradient(self, mode):
+        """Dead-parameter screen over a full forward with masks (and nulls).
 
-        Key biases are excluded: shifting every key by a constant moves all
-        scores for a query equally, which the softmax cancels, so their
-        gradient vanishes identically by construction.
+        Every param_spec entry must get a gradient, so a spec entry that no
+        forward reads fails here. Key biases are excluded: shifting every key
+        by a constant moves all scores for a query equally, which the softmax
+        cancels, so their gradient vanishes identically by construction.
         """
         rng = np.random.default_rng(18)
-        cfg = tiny_config(num_layers=2)
+        cont = mode == "continuous"
+        cfg = tiny_config(mode=mode, vocab_size=12 if cont else 23, num_layers=2)
         params = init_params(cfg, seed=18)
-        batch = random_batch(rng, cfg, [4, 6], with_null=True)
-        w = rng.normal(size=(1, 1, cfg.num_codes))
+        batch = random_batch(rng, cfg, [4, 6], with_null=cont)
+        w = rng.normal(size=(1, 1, cfg.head_width))
         with Tape():
-            probs, preds = forward_continuous(params, batch)
-            loss = tape.tmean(tape.mul(probs, w)) + tape.tmean(preds)
+            if cont:
+                probs, preds = forward_continuous(params, batch)
+                loss = tape.tmean(tape.mul(probs, w)) + tape.tmean(preds)
+            else:
+                loss = tape.tmean(tape.mul(forward_decile(params, batch), w))
             backward(loss)
         for name, t in params.named_tensors():
             assert t.grad is not None, name
@@ -641,8 +651,8 @@ class TestCheckpoints:
         path = tmp_path / "dec.ckpt"
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.embedding.data, params.embedding.data)
-        assert loaded.value_w is None
+        assert np.array_equal(loaded.by_name["embedding"].data, params.by_name["embedding"].data)
+        assert "value_w" not in loaded.by_name
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -12,7 +12,8 @@ def test_zero_gradient_is_fixed_point():
     p = TapeTensor(np.array([1.0, -2.0, 3.0]), trainable=True)
     state = AdamState([p], learning_rate=0.1)
     before = p.data.copy()
-    adam_step(state, grads=[np.zeros(3)])
+    p.grad = np.zeros(3)
+    adam_step(state)
     np.testing.assert_array_equal(p.data, before)
 
 
@@ -27,7 +28,8 @@ def test_none_gradient_skips_parameter():
 def test_first_step_magnitude():
     p = TapeTensor(np.array(0.0), trainable=True)
     state = AdamState([p], learning_rate=0.1)
-    adam_step(state, grads=[np.array(1.0)])
+    p.grad = np.array(1.0)
+    adam_step(state)
     np.testing.assert_allclose(p.data, -0.1 * 1.0 / (1.0 + 1e-8), rtol=0, atol=1e-15)
 
 
@@ -83,9 +85,11 @@ def test_per_member_learning_rates_match_separate_states():
     alone = [TapeTensor(w[m].copy(), trainable=True) for m in range(2)]
     states = [AdamState([alone[m]], learning_rate=float(lrs[m])) for m in range(2)]
     for g in grads:
-        adam_step(state, grads=[g])
+        stacked.grad = g
+        adam_step(state)
         for m in range(2):
-            adam_step(states[m], grads=[g[m]])
+            alone[m].grad = g[m]
+            adam_step(states[m])
     for m in range(2):
         np.testing.assert_array_equal(stacked.data[m], alone[m].data)
 

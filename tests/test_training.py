@@ -377,7 +377,7 @@ class TestPretrain:
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_nonfinite_loss_dumps_batch(self, tmp_path):
         params, bags, _ = self.model_and_bags()
-        params.head_w2.data *= 1e6
+        params.by_name["head_w2"].data *= 1e6
         cfg = TrainConfig(steps=2, batch_size=8, learning_rate=1e-3, dropout=0.0, seed=4)
         with pytest.raises(NumericError, match="non-finite"):
             pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
@@ -398,7 +398,7 @@ class TestPretrain:
     def test_caller_config_unchanged_when_pretrain_raises(self, tmp_path):
         params, bags, _ = self.model_and_bags()
         params.config.dropout_rate = 0.25
-        params.head_w2.data *= 1e6
+        params.by_name["head_w2"].data *= 1e6
         before = params.config.to_dict()
         cfg = TrainConfig(steps=2, batch_size=8, learning_rate=1e-3, dropout=0.0, seed=4)
         with pytest.raises(NumericError):

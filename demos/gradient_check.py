@@ -3,7 +3,8 @@
 Perturbs a few coordinates of every parameter tensor and compares the
 resulting loss slope with what the tape reports. Biases start at exact
 zero where ReLU kinks sit, so parameters are first moved to a generic
-random point.
+random point. The model is built in float64, where central differences
+are accurate enough to compare against; training defaults to float32.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from labmlm.training import multitask_loss
 rng = np.random.default_rng(0)
 cfg = ModelConfig("continuous", vocab_size=12, d_model=16,
                   num_layers=2, num_heads=2, ff_dim=32)
-params = init_params(cfg, seed=0)
+params = init_params(cfg, seed=0, dtype=np.float64)
 for t in params.tensors():
     t.data[...] = rng.normal(scale=0.5, size=t.shape)
 

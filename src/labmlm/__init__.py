@@ -22,13 +22,12 @@ from .errors import (
     NumericError,
     VocabError,
 )
-from .tape import Tape, TapeTensor, backward, set_default_dtype
+from .tape import Tape, TapeTensor, backward
 
 __all__ = [
     "Tape",
     "TapeTensor",
     "backward",
-    "set_default_dtype",
     "LabMLMError",
     "ConfigError",
     "ContractError",

@@ -3,7 +3,8 @@
 No positional information anywhere: the layer is permutation-equivariant over
 the length axis, which is what lets the models treat inputs as bags. Padded
 key positions get an additive -1e9 logit before the softmax (their weights
-underflow to exactly zero in float64); padded query rows are zeroed on output.
+underflow to exactly zero in float32 and float64 alike; the bias takes the
+scores' dtype); padded query rows are zeroed on output.
 
 The layer's parameters are a mapping from `attention_spec` name (`wq` ... `bo`)
 to tensor; a model block passes its own `attn.` entries under those names.

@@ -8,6 +8,7 @@ whatever it had already written so reruns start clean.
 import argparse
 import csv
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -84,6 +85,23 @@ class _Outputs:
             p.unlink(missing_ok=True)
         for d in self._dirs:
             shutil.rmtree(d, ignore_errors=True)
+
+
+# Thread settings that change BLAS reduction order, and so the output bits.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _runtime(dtype) -> dict:
+    """What byte-identical reruns depend on besides the inputs and seeds."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+            "dtype": np.dtype(dtype).name}
 
 
 def _write_json(path, obj):
@@ -227,11 +245,14 @@ PRETRAIN_DEFAULTS = {
     "mask_count": 1,
     "remask": False,
     "val_batches": None,
+    "dtype": "float32",
 }
 
 
 def cmd_pretrain(args, out: _Outputs) -> int:
     cfg = _resolve_config(PRETRAIN_DEFAULTS, args.config, args)
+    if cfg["dtype"] not in ("float32", "float64"):
+        raise ConfigError(f'dtype must be "float32" or "float64", got {cfg["dtype"]!r}')
     data = Path(args.data)
     vocab = _load_vocab(data)
     train_bags = list(read_shards(data / "train"))
@@ -251,10 +272,11 @@ def cmd_pretrain(args, out: _Outputs) -> int:
     out_dir = out.mkdir(args.out)
     out.mkdir(out_dir / "checkpoints")
     _write_json(out.file(out_dir / "config.json"),
-                {"data": str(data), "model": model_cfg.to_dict(), "train": cfg})
+                {"data": str(data), "model": model_cfg.to_dict(), "train": cfg,
+                 "runtime": _runtime(cfg["dtype"])})
     out.file(out_dir / "metrics.csv")
 
-    params = init_params(model_cfg, seed=cfg["seed"])
+    params = init_params(model_cfg, seed=cfg["seed"], dtype=cfg["dtype"])
     result = pretrain(params, train_bags, val_bags, train_cfg, out_dir)
 
     final_val = [row for row in result.history if row[1] == "val"][-1]
@@ -357,7 +379,8 @@ def cmd_finetune(args, out: _Outputs) -> int:
     report = {"task": args.task, "metric": result.metric,
               "best": {k: result.best[k] for k in
                        ("epochs", "batch_size", "learning_rate", "dropout",
-                        "mean", "min", "max")}}
+                        "mean", "min", "max")},
+              "runtime": _runtime(params.dtype)}
     if args.baseline:
         baseline = fit_linear_baseline(dataset, args.task,
                                        k_folds=args.k_folds, seed=args.seed)

@@ -54,10 +54,6 @@ DEFAULT_L2_GRID = (0.0001, 0.001, 0.01, 0.1)
 @dataclass
 class FinetuneConfig:
     task_kind: str = TASK_BINARY
-    epochs: int = 60
-    batch_size: int = 32
-    learning_rate: float = 3e-4
-    dropout: float = 0.3
     n_classes: int = 2
     epochs_grid: tuple = DEFAULT_EPOCHS_GRID
     batch_grid: tuple = DEFAULT_BATCH_GRID
@@ -67,8 +63,6 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.task_kind not in _TASKS:
             raise ConfigError(f"unknown task kind {self.task_kind!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
         if self.task_kind == TASK_MULTICLASS and self.n_classes < 2:
             raise ConfigError(f"multiclass needs n_classes >= 2, got {self.n_classes}")
         for name in ("epochs_grid", "batch_grid", "lr_grid", "dropout_grid"):
@@ -188,16 +182,18 @@ def dataset_bags(dataset: FinetuneDataset, vocab, ecdfs) -> list:
     return bags
 
 
+def _pool(base: ModelParams, batch) -> np.ndarray:
+    """Each bag's mean final embedding over its real positions, in the base's dtype."""
+    with untracked():
+        h = encode(base, batch, training=False).data
+    keep = (~batch.pad_mask)[:, :, None]
+    return ((h * keep).sum(axis=1) / batch.lengths[:, None]).astype(h.dtype, copy=False)
+
+
 def pool_embeddings(base: ModelParams, bags, batch_size: int = 128) -> np.ndarray:
     """Mean over non-pad final embeddings, with the base kept off the tape."""
-    pooled = []
-    with untracked():
-        for start in range(0, len(bags), batch_size):
-            batch = pad_batch(bags[start : start + batch_size])
-            h = encode(base, batch, training=False).data
-            keep = (~batch.pad_mask)[:, :, None]
-            pooled.append((h * keep).sum(axis=1) / batch.lengths[:, None])
-    return np.concatenate(pooled, axis=0)
+    return np.concatenate([_pool(base, pad_batch(bags[start : start + batch_size]))
+                           for start in range(0, len(bags), batch_size)], axis=0)
 
 
 @dataclass
@@ -222,7 +218,9 @@ def _is_bias(name: str) -> bool:
     return name.endswith("_b")
 
 
-def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2) -> FinetuneHead:
+def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2,
+                       dtype=np.float32) -> FinetuneHead:
+    """A fresh head; like init_params, it draws float64 values and casts them to `dtype`."""
     if task_kind not in _TASKS:
         raise ConfigError(f"unknown task kind {task_kind!r}")
     out_dim = n_classes if task_kind == TASK_MULTICLASS else 1
@@ -234,7 +232,7 @@ def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2) -> Finetun
         width += n_extra
     spec += [("dense_w", (width, width), "glorot"), ("dense_b", (width,), "zeros"),
              ("out_w", (width, out_dim), "glorot"), ("out_b", (out_dim,), "zeros")]
-    return FinetuneHead(task_kind, init_tensors(rng, spec))
+    return FinetuneHead(task_kind, init_tensors(rng, spec, dtype))
 
 
 def stack_heads(heads) -> FinetuneHead:
@@ -286,14 +284,16 @@ def head_logits(head: FinetuneHead, pooled, extras=None, training=False,
     """Head logits for [b, d] inputs, or [M, b, d] for a stacked head.
 
     A stacked head takes one dropout rate and one generator per member.
+    Numpy inputs stay constants, so they take the head's dtype and get no
+    gradient.
     """
     p = head.by_name
-    x = pooled if isinstance(pooled, TapeTensor) else TapeTensor(np.asarray(pooled))
+    x = pooled
     if "extra_w" in p:
         width = p["extra_w"].shape[-2]
         if extras is None or np.asarray(extras).shape[-1] != width:
             raise ConfigError(f"head expects extra features of width {width}")
-        e = tape.relu(tape.matmul(TapeTensor(np.asarray(extras)), p["extra_w"]) + p["extra_b"])
+        e = tape.relu(tape.matmul(extras, p["extra_w"]) + p["extra_b"])
         x = tape.concat([x, e], axis=-1)
     z = tape.relu(tape.matmul(x, p["dense_w"]) + p["dense_b"])
     if head.stacked:
@@ -309,11 +309,7 @@ def head_logits(head: FinetuneHead, pooled, extras=None, training=False,
 def finetune_forward(base: ModelParams, batch, extras, head: FinetuneHead,
                      training=False, rng=None, dropout=0.0) -> TapeTensor:
     """Frozen base encode, pool, head, task activation."""
-    with untracked():
-        h = encode(base, batch, training=False).data
-    keep = (~batch.pad_mask)[:, :, None]
-    pooled = (h * keep).sum(axis=1) / batch.lengths[:, None]
-    logits = head_logits(head, pooled, extras, training, rng, dropout)
+    logits = head_logits(head, _pool(base, batch), extras, training, rng, dropout)
     if head.task_kind == TASK_BINARY:
         return tape.sigmoid(logits)
     if head.task_kind == TASK_MULTICLASS:
@@ -377,10 +373,11 @@ def _train_stack(stack, pooled, extras, labels, epochs, batch_size, learning_rat
                           "dropout rates and seeds")
     rngs = [np.random.default_rng(s) for s in seeds]
     tensors = stack.tensors()
-    lrs = np.asarray(learning_rates, dtype=stack.by_name["dense_w"].data.dtype)
+    dtype = stack.by_name["dense_w"].data.dtype
+    lrs = np.asarray(learning_rates, dtype=dtype)
     adam = AdamState(tensors, lrs.reshape(-1, 1, 1))
-    pooled = np.asarray(pooled)
-    extras = None if extras is None else np.asarray(extras)
+    pooled = np.asarray(pooled, dtype=dtype)
+    extras = None if extras is None else np.asarray(extras, dtype=dtype)
     labels = np.asarray(labels)
     last = np.full(members, np.nan)
     for _ in range(epochs):
@@ -503,7 +500,7 @@ def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecd
             for (epochs, batch_size), members in stacks.items():
                 stack = stack_heads([init_finetune_head(
                     np.random.default_rng((rep_seed * 1009 + ci) * 31 + f),
-                    pooled.shape[1], n_extra, cfg.task_kind, cfg.n_classes)
+                    pooled.shape[1], n_extra, cfg.task_kind, cfg.n_classes, pooled.dtype)
                     for ci in members])
                 train_head(stack, train_pooled, train_extras, labels[train_idx],
                            epochs=epochs, batch_size=batch_size,

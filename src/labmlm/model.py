@@ -21,6 +21,11 @@ and the forwards read them by name (`embedding`, `block0.attn.wq`, ...).
 Initialization, counting, `named_tensors` and the checkpoint checks all derive
 from the spec, so old checkpoints keep loading and a seed keeps drawing the
 same weights.
+
+A model's dtype is its tensors' dtype: float32 by default, float64 on request
+(`init_params(..., dtype=np.float64)`), and whatever a checkpoint stores. The
+forwards wrap a batch's values in it; the tape casts every other numpy
+constant they meet (truths, masks, the pad bias) to it.
 """
 
 from __future__ import annotations
@@ -117,6 +122,10 @@ class ModelParams:
     config: ModelConfig
     by_name: dict = field(repr=False)
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.by_name["embedding"].data.dtype
+
     def named_tensors(self):
         return list(self.by_name.items())
 
@@ -157,9 +166,13 @@ def _spec_groups(config: ModelConfig) -> dict:
     return groups
 
 
-def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Fresh trainable parameters: glorot-uniform denses, N(0, 0.02^2) embeddings."""
-    return ModelParams(config, init_tensors(np.random.default_rng(seed), param_spec(config)))
+def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
+    """Fresh trainable parameters: glorot-uniform denses, N(0, 0.02^2) embeddings.
+
+    The draws are the same for every dtype: float64 values, cast once to `dtype`.
+    """
+    return ModelParams(config, init_tensors(np.random.default_rng(seed), param_spec(config),
+                                            dtype))
 
 
 def count_params(config: ModelConfig):
@@ -201,7 +214,7 @@ def continuous_embed(values, token_embeddings, null_flags: np.ndarray,
     if vals_data[live].size and (vals_data[live].min() < 0.0 or vals_data[live].max() > 1.0):
         raise DataError("value outside [0, 1] at a non-null position")
     if not isinstance(values, TapeTensor):
-        values = TapeTensor(vals_data)
+        values = TapeTensor(vals_data.astype(params.dtype, copy=False))
     p = params.by_name
     proj = tape.linear(tape.reshape(values, (*vals_data.shape, 1)), p["value_w"], p["value_b"])
     x = proj + token_embeddings
@@ -271,7 +284,7 @@ def _encode_canonical(params: ModelParams, batch: Batch, training: bool = False,
     nulls = batch.null_flags[rows, perm]
     pad = batch.pad_mask[rows, perm]
     values = tape.permute_l(batch.values if isinstance(batch.values, TapeTensor)
-                            else TapeTensor(batch.values), perm)
+                            else TapeTensor(np.asarray(batch.values, dtype=params.dtype)), perm)
 
     if cfg.mode == MODE_CONTINUOUS:
         lookup = np.where(nulls, cfg.null_token, tokens)
@@ -318,7 +331,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
     The file appears at `path` only once it is complete.
     """
     named = params.named_tensors()
-    dtype = "<f8" if params.by_name["embedding"].data.dtype == np.float64 else "<f4"
+    dtype = "<f8" if params.dtype == np.float64 else "<f4"
     index = []
     offset = 0
     blobs = []
@@ -348,7 +361,10 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint; a file that breaks the format raises FormatError."""
+    """Read a checkpoint in the dtype it was saved in (<f4: float32, <f8: float64).
+
+    A file that breaks the format raises FormatError.
+    """
     with open(path, "rb") as fh:
         head = fh.read(9)
         if len(head) < 5 or head[:4] != CHECKPOINT_MAGIC:

@@ -22,8 +22,14 @@ freed by refcount during the sweep rather than by the cyclic GC; a second
 counts the nodes recorded.
 
 Constant operands may be plain numpy arrays or Python scalars; they receive no
-gradient. Test builds run in float64 so finite-difference checks are
-meaningful; ``set_default_dtype(np.float32)`` switches the fast path.
+gradient.
+
+The dtype belongs to the tensors, not to the process. A TapeTensor keeps
+float32 or float64 data as given and stores anything else as float64. A
+constant operand takes the dtype of the tensor it meets, so a float64 array or
+scalar never upcasts a float32 op. Two tensor operands of different dtypes
+raise ContractError. Models train in float32 by default; the finite-difference
+checks build float64 tensors, where central differences mean something.
 """
 
 from __future__ import annotations
@@ -35,20 +41,13 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError, VocabError
 
-_DEFAULT_DTYPE = np.float64
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def set_default_dtype(dtype) -> None:
-    """Select the dtype used by every tensor created afterwards."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ConfigError(f"unsupported dtype {dt}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
+def _as_float(data) -> np.ndarray:
+    """float32 and float64 data as given; anything else as float64."""
+    data = np.asarray(data)
+    return data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
 
 
 # The stack may hold None entries: untracked() pushes one so nested code runs
@@ -97,9 +96,12 @@ class TapeTensor:
     """Numpy array plus gradient slot and tape bookkeeping."""
 
     __slots__ = ("data", "grad", "trainable", "name", "node_id", "_tape")
+    # numpy defers to the reflected operators, so `array - tensor` records a node
+    # instead of building an object array.
+    __array_ufunc__ = None
 
     def __init__(self, data, trainable: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = _as_float(data)
         self.grad = None
         self.trainable = trainable
         self.name = name
@@ -173,10 +175,27 @@ class TapeTensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
+def _operands(*xs) -> list:
+    """Each operand's array, constants cast to the dtype of the tensors among them.
+
+    With no tensor among them, constants follow the TapeTensor rule.
+    """
+    dtype = None
+    for x in xs:
+        if isinstance(x, TapeTensor):
+            if dtype is None:
+                dtype = x.data.dtype
+            elif x.data.dtype != dtype:
+                raise ContractError(f"tensor operands mix {dtype} and {x.data.dtype}; "
+                                    "cast one of them first")
+    return [x.data if isinstance(x, TapeTensor)
+            else _as_float(x) if dtype is None else np.asarray(x, dtype=dtype)
+            for x in xs]
+
+
 def _data(x):
-    if isinstance(x, TapeTensor):
-        return x.data
-    return np.asarray(x, dtype=_DEFAULT_DTYPE)
+    """One operand's array; a lone constant follows the TapeTensor rule."""
+    return x.data if isinstance(x, TapeTensor) else _as_float(x)
 
 
 def _accumulate(t, g):
@@ -221,7 +240,7 @@ def backward(loss: TapeTensor) -> None:
 
 
 def add(a, b) -> TapeTensor:
-    da, db = _data(a), _data(b)
+    da, db = _operands(a, b)
     out = TapeTensor(da + db)
     tape = _active_tape()
     if tape is not None:
@@ -251,7 +270,7 @@ def neg(a) -> TapeTensor:
 
 
 def mul(a, b) -> TapeTensor:
-    da, db = _data(a), _data(b)
+    da, db = _operands(a, b)
     out = TapeTensor(da * db)
     tape = _active_tape()
     if tape is not None:
@@ -267,7 +286,7 @@ def mul(a, b) -> TapeTensor:
 
 
 def div(a, b) -> TapeTensor:
-    da, db = _data(a), _data(b)
+    da, db = _operands(a, b)
     out = TapeTensor(da / db)
     tape = _active_tape()
     if tape is not None:
@@ -283,7 +302,7 @@ def div(a, b) -> TapeTensor:
 
 
 def matmul(a, b) -> TapeTensor:
-    da, db = _data(a), _data(b)
+    da, db = _operands(a, b)
     if da.ndim < 2 or db.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {da.shape} x {db.shape}")
     if da.shape[-1] != db.shape[-2]:
@@ -304,7 +323,7 @@ def matmul(a, b) -> TapeTensor:
 
 def linear(x, w, b) -> TapeTensor:
     """x @ w + b for x [..., d_in], a (d_in, d_out) weight and a (d_out,) bias."""
-    dx, dw, db = _data(x), _data(w), _data(b)
+    dx, dw, db = _operands(x, w, b)
     if dw.ndim != 2 or db.shape != dw.shape[1:]:
         raise DimensionError(f"linear needs a 2-d weight and a (d_out,) bias, "
                              f"got weight {dw.shape} and bias {db.shape}")
@@ -418,7 +437,7 @@ def swapaxes(a, ax1: int, ax2: int) -> TapeTensor:
 
 
 def concat(parts, axis: int = -1) -> TapeTensor:
-    datas = [_data(p) for p in parts]
+    datas = _operands(*parts)
     out = TapeTensor(np.concatenate(datas, axis=axis))
     tape = _active_tape()
     if tape is not None:
@@ -501,7 +520,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> TapeTensor:
     sum times 1/n, sqrt(var + eps), divide, scale, shift) is what fixes its
     output bits; reordering it changes them.
     """
-    da, dg, db = _data(a), _data(gain), _data(bias)
+    da, dg, db = _operands(a, gain, bias)
     d = da.shape[-1] if da.ndim else 0
     if d < 1:
         raise ConfigError("layer_norm needs a non-empty last axis")
@@ -510,7 +529,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> TapeTensor:
     if dg.shape != (d,) or db.shape != (d,):
         raise DimensionError(f"layer_norm gain {dg.shape} and bias {db.shape} must both "
                              f"have shape ({d},) for input {da.shape}")
-    inv_n = _data(1.0 / d)
+    inv_n = np.asarray(1.0 / d, dtype=da.dtype)
     xhat = da + -(da.sum(axis=-1, keepdims=True) * inv_n)
     var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt(var + np.full_like(var, eps))
@@ -544,7 +563,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> TapeTensor:
 
 def glorot_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(_DEFAULT_DTYPE)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 _INITS = {
@@ -555,11 +574,28 @@ _INITS = {
 }
 
 
-def init_tensors(rng, spec) -> dict:
+def _check_dtype(dtype) -> np.dtype:
+    """dtype as a numpy dtype; anything but float32 or float64 raises ConfigError."""
+    dt = None
+    if dtype is not None:   # np.dtype(None) would mean float64
+        try:
+            dt = np.dtype(dtype)
+        except (TypeError, ValueError):
+            pass
+    if dt is None or dt not in _FLOAT_DTYPES:
+        raise ConfigError(f"unsupported dtype {dtype!r}; use float32 or float64")
+    return dt
+
+
+def init_tensors(rng, spec, dtype) -> dict:
     """Fresh trainable tensors for a spec of (name, shape, init), keyed by name.
 
     init is a key of _INITS; "glorot" takes a (fan_in, fan_out) shape. Only
     "glorot" and "normal" draw from rng, in spec order, so a spec fixes the draws.
+    Values are drawn in float64 and cast once to `dtype`, so a float32 tensor is
+    its float64 twin rounded.
     """
-    return {name: TapeTensor(_INITS[init](rng, shape), trainable=True, name=name)
+    dtype = _check_dtype(dtype)
+    return {name: TapeTensor(_INITS[init](rng, shape).astype(dtype, copy=False),
+                             trainable=True, name=name)
             for name, shape, init in spec}

@@ -84,7 +84,7 @@ def multitask_loss(code_probs, value_preds, batch: Batch) -> LossParts:
         diff = preds - batch.truth_values[live]
         mse = tape.tmean(tape.mul(diff, diff))
     else:
-        mse = TapeTensor(np.asarray(0.0))
+        mse = TapeTensor(np.zeros((), dtype=ce.data.dtype))
     return LossParts(ce + mse, ce, mse)
 
 
@@ -152,7 +152,7 @@ def _forward_and_loss(params, batch, training, rng):
         return multitask_loss(probs, preds, batch)
     probs = forward_decile(params, batch, training=training, rng=rng)
     ce = decile_mlm_loss(probs, batch)
-    return LossParts(ce, ce, TapeTensor(np.asarray(float("nan"))))
+    return LossParts(ce, ce, TapeTensor(np.full((), np.nan, dtype=ce.data.dtype)))
 
 
 def _validate(params, val_bags, batch_size, max_batches=None):
@@ -189,13 +189,40 @@ def _append_metrics(path, rows):
             writer.writerow([step, split, repr(float(ce)), repr(float(mse)), repr(float(ppl))])
 
 
+def _first_nonfinite_grad(named):
+    """Name of the first tensor whose gradient holds a NaN or an infinity, else None.
+
+    One sum per tensor; a tensor whose sum is not finite is then scanned
+    element by element, since large finite float32 values can overflow a sum.
+    """
+    with np.errstate(over="ignore"):
+        for name, t in named:
+            g = t.grad
+            if g is not None and not math.isfinite(g.sum()) and not np.isfinite(g).all():
+                return name
+    return None
+
+
+def _abort_step(why, step, batch, out_dir, metrics_path, pending):
+    """Dump the step's batch next to the log, flush pending rows, raise NumericError."""
+    dump = os.path.join(out_dir, f"diagnostic-step{step}.npz")
+    np.savez(dump, tokens=batch.tokens, values=batch.values,
+             null_flags=batch.null_flags, pad_mask=batch.pad_mask,
+             mask_rows=batch.mask_rows, mask_cols=batch.mask_cols,
+             truth_tokens=batch.truth_tokens, truth_values=batch.truth_values)
+    _append_metrics(metrics_path, pending)
+    raise NumericError(f"{why} at step {step}; batch dumped to {dump}")
+
+
 def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
              out_dir) -> PretrainResult:
     """Adam pre-training with per-step train rows and periodic validation.
 
     Everything is driven by config.seed: batch sampling, masking, dropout.
-    A 64-bit rerun with the same inputs writes byte-identical logs. A
-    non-finite loss aborts with the offending batch dumped next to the log.
+    The run trains in the dtype of `params`. A rerun with the same inputs,
+    dtype, numpy and BLAS builds and BLAS thread count writes byte-identical
+    logs and checkpoints. A non-finite loss or gradient aborts before the
+    Adam step, with the offending batch dumped next to the log.
     The run trains with config.dropout, and its checkpoints record that rate;
     params.config gets the caller's rate back when pretrain returns or raises.
     """
@@ -251,14 +278,13 @@ def _pretrain(params, train_bags, val_bags, config, out_dir):
             parts = _forward_and_loss(params, batch, training=True, rng=rng)
             total = parts.total.item()
             if not np.isfinite(total):
-                dump = os.path.join(out_dir, f"diagnostic-step{step}.npz")
-                np.savez(dump, tokens=batch.tokens, values=batch.values,
-                         null_flags=batch.null_flags, pad_mask=batch.pad_mask,
-                         mask_rows=batch.mask_rows, mask_cols=batch.mask_cols,
-                         truth_tokens=batch.truth_tokens, truth_values=batch.truth_values)
-                _append_metrics(metrics_path, pending)
-                raise NumericError(f"non-finite loss {total} at step {step}; batch dumped to {dump}")
+                _abort_step(f"non-finite loss {total}", step, batch, out_dir,
+                            metrics_path, pending)
             backward(parts.total)
+        bad = _first_nonfinite_grad(params.named_tensors())
+        if bad is not None:
+            _abort_step(f"non-finite gradient in {bad!r}", step, batch, out_dir,
+                        metrics_path, pending)
         adam_step(adam)
 
         ce = parts.ce.item()
@@ -329,8 +355,9 @@ def evaluate_imputation(params: ModelParams, bags, vocab: Vocab, decode: str,
                         batch_size: int = 64) -> ImputationReport:
     """Mask one valued position per bag and score predictions against truth.
 
-    With ablation=true the model weights are re-initialized from `seed`
-    before evaluating, so the report measures what pre-training added.
+    With ablation=true the model weights are re-initialized from `seed`, in
+    the model's dtype, before evaluating, so the report measures what
+    pre-training added.
     """
     mode = params.config.mode
     if decode == DECODE_CONTINUOUS:
@@ -345,7 +372,7 @@ def evaluate_imputation(params: ModelParams, bags, vocab: Vocab, decode: str,
         raise ContractError("evaluate_imputation needs a nonempty test set")
 
     if ablation:
-        params = init_params(params.config, seed=seed)
+        params = init_params(params.config, seed=seed, dtype=params.dtype)
 
     rng = np.random.default_rng(seed)
     prepared = []

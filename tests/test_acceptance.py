@@ -222,7 +222,7 @@ def test_criterion_1_gradient_suite():
                                    coords_per_tensor=2, rng=rng)
 
             cfg = ModelConfig("continuous", 12, 16, 2, 2, 16)
-            params = init_params(cfg, seed=seed)
+            params = init_params(cfg, seed=seed, dtype=np.float64)
             randomize(params, rng)
             bags = [mask_bag(make_bag(rng, cfg.num_codes, 6), cfg.mask_token, rng)
                     for _ in range(2)]
@@ -452,7 +452,7 @@ def test_criterion_9_loss_identities():
     with criterion(9, "uniform CE equals ln V; perplexity endpoints exact"):
         rng = np.random.default_rng(8)
         cfg = ModelConfig("continuous", 532, 16, 1, 2, 16)
-        params = init_params(cfg, seed=8)
+        params = init_params(cfg, seed=8, dtype=np.float64)
         params.by_name["head_w2"].data[...] = 0.0
         params.by_name["head_b2"].data[...] = 0.0
         bag = mask_bag(make_bag(rng, cfg.num_codes, 6), cfg.mask_token, rng, n_mask=2)

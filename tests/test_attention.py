@@ -38,7 +38,7 @@ def test_single_element_bag_reduces_to_value_path():
     """With L=1 the softmax weight is 1, so output = Wo(Wv x + bv) + bo."""
     rng = np.random.default_rng(0)
     d = 6
-    p = init_tensors(rng, attention_spec(d, 2, 3))
+    p = init_tensors(rng, attention_spec(d, 2, 3), np.float64)
     x = rng.normal(size=(1, 1, d))
     y = multi_head_attention(TapeTensor(x), p, 2, 3).data
     want = (x[0] @ p["wv"].data + p["bv"].data) @ p["wo"].data + p["bo"].data
@@ -48,7 +48,7 @@ def test_single_element_bag_reduces_to_value_path():
 def test_matches_loop_oracle():
     rng = np.random.default_rng(1)
     d, h, k = 4, 1, 4
-    p = init_tensors(rng, attention_spec(d, h, k))
+    p = init_tensors(rng, attention_spec(d, h, k), np.float64)
     x = rng.normal(size=(1, 3, d))
     got = multi_head_attention(TapeTensor(x), p, h, k).data
     np.testing.assert_allclose(got, _loop_oracle(x, p, h, k), atol=1e-10)
@@ -57,7 +57,7 @@ def test_matches_loop_oracle():
 def test_matches_loop_oracle_multihead_masked():
     rng = np.random.default_rng(2)
     d, h, k = 8, 2, 4
-    p = init_tensors(rng, attention_spec(d, h, k))
+    p = init_tensors(rng, attention_spec(d, h, k), np.float64)
     x = rng.normal(size=(3, 5, d))
     pad = np.zeros((3, 5), bool)
     pad[0, 4:] = True
@@ -68,7 +68,7 @@ def test_matches_loop_oracle_multihead_masked():
 
 def test_fully_padded_row_outputs_zero():
     rng = np.random.default_rng(3)
-    p = init_tensors(rng, attention_spec(4, 2, 2))
+    p = init_tensors(rng, attention_spec(4, 2, 2), np.float64)
     x = rng.normal(size=(2, 3, 4))
     pad = np.zeros((2, 3), bool)
     pad[1, :] = True
@@ -77,22 +77,33 @@ def test_fully_padded_row_outputs_zero():
     np.testing.assert_array_equal(y[1], 0.0)
 
 
-def test_padded_keys_get_exactly_zero_weight():
-    """-1e9 logits underflow in float64, so masked keys contribute nothing."""
+def _padded_and_short(dtype):
+    """Outputs of a bag with two padded keys and of the same bag cut to its real keys."""
     rng = np.random.default_rng(4)
-    p = init_tensors(rng, attention_spec(4, 1, 4))
-    x = rng.normal(size=(1, 4, 4))
+    p = init_tensors(rng, attention_spec(4, 1, 4), dtype)
+    x = rng.normal(size=(1, 4, 4)).astype(dtype)
     pad = np.array([[False, False, True, True]])
     y_masked = multi_head_attention(TapeTensor(x), p, 1, 4, pad).data
-    x_short = x[:, :2, :]
-    y_short = multi_head_attention(TapeTensor(x_short), p, 1, 4).data
-    np.testing.assert_array_equal(y_masked[0, :2], y_short[0])
+    y_short = multi_head_attention(TapeTensor(x[:, :2, :]), p, 1, 4).data
+    return y_masked[0, :2], y_short[0]
+
+
+def test_padded_keys_get_exactly_zero_weight():
+    """-1e9 logits underflow in float64, so masked keys contribute nothing."""
+    np.testing.assert_array_equal(*_padded_and_short(np.float64))
+
+
+def test_padded_keys_get_exactly_zero_weight_float32():
+    """The -1e9 pad logit underflows to an exact zero weight in float32 too."""
+    masked, short = _padded_and_short(np.float32)
+    assert masked.dtype == np.float32
+    np.testing.assert_array_equal(masked, short)
 
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(5)
     d, h, k = 6, 3, 2
-    p = init_tensors(rng, attention_spec(d, h, k))
+    p = init_tensors(rng, attention_spec(d, h, k), np.float64)
     x = rng.normal(size=(2, 7, d))
     y = multi_head_attention(TapeTensor(x), p, h, k).data
     for _ in range(10):
@@ -103,7 +114,7 @@ def test_permutation_equivariance():
 
 def test_invalid_heads_rejected():
     rng = np.random.default_rng(6)
-    p = init_tensors(rng, attention_spec(4, 2, 2))
+    p = init_tensors(rng, attention_spec(4, 2, 2), np.float64)
     with pytest.raises(ConfigError):
         multi_head_attention(TapeTensor(np.zeros((1, 2, 4))), p, 0, 2)
     with pytest.raises(ConfigError):
@@ -113,7 +124,7 @@ def test_invalid_heads_rejected():
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     d, h, k = 4, 2, 2
-    p = init_tensors(rng, attention_spec(d, h, k))
+    p = init_tensors(rng, attention_spec(d, h, k), np.float64)
     x = TapeTensor(rng.normal(size=(2, 3, d)), trainable=True, name="x")
     pad = np.array([[False, False, True], [False, False, False]])
     w = rng.normal(size=(2, 3, d))

@@ -488,13 +488,13 @@ class TestGradientThroughPadding:
         batch = pad_batch(bags)
         # Plant nonzero values inside the padded region and take gradients
         # through the value channel.
-        values = batch.values.copy()
-        values[0, 3:] = 0.77
-        vt = TapeTensor(values)
-        batch.values = vt
         cfg = ModelConfig(mode="continuous", vocab_size=vocab.vocab_size,
                           d_model=8, num_layers=1, num_heads=2, ff_dim=16)
         params = init_params(cfg, seed=0)
+        values = batch.values.astype(params.dtype)
+        values[0, 3:] = 0.77
+        vt = TapeTensor(values)
+        batch.values = vt
         with Tape():
             probs, preds = forward_continuous(params, batch, training=False)
             loss = multitask_loss(probs, preds, batch).total

@@ -35,7 +35,7 @@ from labmlm.model import (
 )
 from labmlm.optim import AdamState, adam_step
 from labmlm.tape import Tape, TapeTensor, backward
-from labmlm.training import multitask_loss
+from labmlm.training import decile_mlm_loss, multitask_loss
 
 from gradcheck import assert_grads_close
 
@@ -158,7 +158,7 @@ class TestContinuousEmbed:
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(11)
         cfg = tiny_config()
-        params = init_params(cfg, seed=7)
+        params = init_params(cfg, seed=7, dtype=np.float64)
         b, L, d = 2, 4, cfg.d_model
         values = rng.uniform(0, 1, (b, L))
         nulls = np.zeros((b, L), dtype=bool)
@@ -186,7 +186,7 @@ class TestContinuousEmbed:
     def test_null_positions_skip_range_check(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=7)
-        tok = TapeTensor(np.zeros((1, 2, cfg.d_model)))
+        tok = TapeTensor(np.zeros((1, 2, cfg.d_model), dtype=params.dtype))
         nulls = np.array([[False, True]])
         continuous_embed(np.array([[0.5, -3.0]]), tok, nulls, params)
 
@@ -203,7 +203,7 @@ class TestBackbone:
     def test_one_block_matches_oracle(self):
         rng = np.random.default_rng(5)
         cfg = tiny_config(num_layers=1, num_heads=2)
-        params = init_params(cfg, seed=9)
+        params = init_params(cfg, seed=9, dtype=np.float64)
         b, L, d = 2, 5, cfg.d_model
         x = rng.normal(size=(b, L, d))
         pad = np.zeros((b, L), dtype=bool)
@@ -261,7 +261,7 @@ def _block_oracle(x, p, pre, num_heads, key_dim, pad):
 class TestHeads:
     def test_categorical_rows_are_distributions(self):
         cfg = tiny_config()
-        params = init_params(cfg, seed=1)
+        params = init_params(cfg, seed=1, dtype=np.float64)
         h = TapeTensor(np.random.default_rng(1).normal(size=(2, 3, cfg.d_model)))
         probs = categorical_head(h, params).data
         assert probs.shape == (2, 3, cfg.num_codes)
@@ -270,7 +270,7 @@ class TestHeads:
 
     def test_zero_weights_give_uniform(self):
         cfg = tiny_config()
-        params = init_params(cfg, seed=1)
+        params = init_params(cfg, seed=1, dtype=np.float64)
         for name in ("head_w1", "head_b1", "head_w2", "head_b2"):
             params.by_name[name].data[...] = 0.0
         h = TapeTensor(np.random.default_rng(2).normal(size=(1, 2, cfg.d_model)))
@@ -279,7 +279,7 @@ class TestHeads:
 
     def test_categorical_matches_oracle(self):
         cfg = tiny_config()
-        params = init_params(cfg, seed=4)
+        params = init_params(cfg, seed=4, dtype=np.float64)
         h = np.random.default_rng(4).normal(size=(2, 3, cfg.d_model))
         got = categorical_head(TapeTensor(h), params).data
         p = params.by_name
@@ -289,7 +289,7 @@ class TestHeads:
 
     def test_continuous_matches_oracle_and_range(self):
         cfg = tiny_config()
-        params = init_params(cfg, seed=4)
+        params = init_params(cfg, seed=4, dtype=np.float64)
         rng = np.random.default_rng(6)
         h = rng.normal(size=(2, 3, cfg.d_model))
         probs = _softmax_np(rng.normal(size=(2, 3, cfg.num_codes)))
@@ -307,7 +307,7 @@ class TestForwards:
     def test_shapes_and_rows_continuous(self):
         rng = np.random.default_rng(0)
         cfg = tiny_config()
-        params = init_params(cfg, seed=0)
+        params = init_params(cfg, seed=0, dtype=np.float64)
         batch = random_batch(rng, cfg, [3, 5], with_null=True)
         probs, preds = forward_continuous(params, batch)
         b, L = batch.tokens.shape
@@ -473,7 +473,7 @@ class TestGradientFlow:
     def test_full_forward_gradcheck(self):
         rng = np.random.default_rng(19)
         cfg = tiny_config()
-        params = init_params(cfg, seed=19)
+        params = init_params(cfg, seed=19, dtype=np.float64)
         randomize_params(params, rng)
         batch = random_batch(rng, cfg, [3, 4], with_null=True)
         w = rng.normal(size=(1, 1, cfg.num_codes))
@@ -490,7 +490,7 @@ class TestGradientFlow:
     def test_decile_forward_gradcheck(self):
         rng = np.random.default_rng(21)
         cfg = tiny_config(mode="decile", vocab_size=23)
-        params = init_params(cfg, seed=21)
+        params = init_params(cfg, seed=21, dtype=np.float64)
         randomize_params(params, rng)
         tokens = rng.integers(1, 23, size=(2, 4))
         batch = Batch(tokens=tokens, values=np.zeros((2, 4)),
@@ -513,27 +513,83 @@ class TestGradientFlow:
                            coords_per_tensor=3, rng=np.random.default_rng(22))
 
 
+def _manifest(path):
+    """(format version, stored dtype) of a checkpoint file."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[5:9])
+    return raw[4], json.loads(raw[9 : 9 + mlen])["dtype"]
+
+
 class TestFloat32:
-    def test_train_step_stays_float32(self):
-        tape.set_default_dtype(np.float32)
-        try:
-            rng = np.random.default_rng(28)
-            cfg = tiny_config()
-            params = init_params(cfg, seed=28)
-            batch = random_batch(rng, cfg, [3, 5, 4], n_mask=2, with_null=True)
-            adam = AdamState(params.tensors(), learning_rate=1e-3)
-            with Tape():
+    """float32 is a property of a model's tensors: init, training and checkpoints keep it."""
+
+    def test_train_step_stays_float32(self, tmp_path, monkeypatch):
+        self.check_one_step("continuous", tmp_path, monkeypatch)
+
+    def test_decile_train_step_stays_float32(self, tmp_path, monkeypatch):
+        self.check_one_step("decile", tmp_path, monkeypatch)
+
+    @staticmethod
+    def check_one_step(mode, tmp_path, monkeypatch):
+        """Every recorded activation, gradient, Adam moment and the checkpoint are float32."""
+        rng = np.random.default_rng(28)
+        cont = mode == "continuous"
+        cfg = tiny_config(mode=mode, vocab_size=12 if cont else 23)
+        params = init_params(cfg, seed=28)
+        batch = random_batch(rng, cfg, [3, 5, 4], n_mask=2, with_null=cont)
+        adam = AdamState(params.tensors(), learning_rate=1e-3)
+        recorded = []
+        add = Tape._add
+
+        def record(self, out, fn):
+            recorded.append(out.data.dtype)
+            add(self, out, fn)
+
+        monkeypatch.setattr(Tape, "_add", record)
+        with Tape():
+            if cont:
                 probs, preds = forward_continuous(params, batch, training=True, rng=rng)
                 loss = multitask_loss(probs, preds, batch).total
-            backward(loss)
-            adam_step(adam)
-        finally:
-            tape.set_default_dtype(np.float64)
-        assert loss.data.dtype == np.float32
+            else:
+                loss = decile_mlm_loss(forward_decile(params, batch, training=True, rng=rng),
+                                       batch)
+        backward(loss)
+        adam_step(adam)
+        assert recorded and set(recorded) == {np.dtype(np.float32)}
         assert np.isfinite(loss.item())
         for name, t in params.named_tensors():
             assert t.data.dtype == np.float32, name
             assert t.grad is not None and t.grad.dtype == np.float32, name
+        assert {m.dtype for m in adam.m + adam.v} == {np.dtype(np.float32)}
+        save_checkpoint(tmp_path / "m.ckpt", params)
+        assert _manifest(tmp_path / "m.ckpt") == (1, "<f4")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.dtype == np.float32
+        for (name, t), (_, u) in zip(params.named_tensors(), loaded.named_tensors()):
+            assert np.array_equal(t.data, u.data), name
+
+    def test_float32_init_is_float64_init_rounded(self):
+        for cfg in (tiny_config(num_layers=2), tiny_config(mode="decile", vocab_size=23)):
+            wide = init_params(cfg, seed=5, dtype=np.float64)
+            narrow = init_params(cfg, seed=5)
+            assert narrow.dtype == np.float32 and wide.dtype == np.float64
+            for (name, a), (_, b) in zip(wide.named_tensors(), narrow.named_tensors()):
+                assert b.data.dtype == np.float32, name
+                assert a.data.astype(np.float32).tobytes() == b.data.tobytes(), name
+
+    def test_only_float32_and_float64_models(self):
+        with pytest.raises(ConfigError, match="unsupported dtype"):
+            init_params(tiny_config(), dtype=np.float16)
+
+    def test_float64_checkpoint_still_loads_as_float64(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        params = init_params(tiny_config(), seed=6, dtype=np.float64)
+        save_checkpoint(path, params)
+        assert _manifest(path) == (1, "<f8")
+        loaded = load_checkpoint(path)
+        assert loaded.dtype == np.float64
+        for (name, t), (_, u) in zip(params.named_tensors(), loaded.named_tensors()):
+            assert np.array_equal(t.data, u.data), name
 
 
 class TestCountParams:
@@ -575,7 +631,8 @@ class TestGoldenInit:
     ])
     def test_checkpoint_bytes(self, tmp_path, mode, vocab_size, layers, digest):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init_params(tiny_config(mode, vocab_size, num_layers=layers), seed=3))
+        save_checkpoint(path, init_params(tiny_config(mode, vocab_size, num_layers=layers), seed=3,
+                                          dtype=np.float64))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("mode, vocab_size, layers, expected", [
@@ -601,7 +658,8 @@ class TestGoldenInit:
         ("regression", 3, "7d8bb3dd76b61ba7dd17da057734139cc9b3483dbccdcc4942c5d309bab79184"),
     ])
     def test_finetune_head(self, task, n_extra, digest):
-        head = init_finetune_head(np.random.default_rng(4), 8, n_extra, task, n_classes=3)
+        head = init_finetune_head(np.random.default_rng(4), 8, n_extra, task, n_classes=3,
+                                  dtype=np.float64)
         h = hashlib.sha256()
         for t in head.tensors():
             h.update(str(t.shape).encode())

@@ -502,3 +502,51 @@ def _acceptance_step_nodes(mode):
 @pytest.mark.parametrize("mode, most", [("continuous", 150), ("decile", 130)])
 def test_acceptance_config_step_node_count(mode, most):
     assert _acceptance_step_nodes(mode) <= most
+
+
+class TestDtypeRule:
+    """A tensor keeps float32 or float64; constants follow the tensor they meet."""
+
+    @pytest.mark.parametrize("data, want", [
+        (np.ones(2, np.float32), np.float32), (np.ones(2), np.float64),
+        (np.ones(2, np.int64), np.float64), (np.ones(2, bool), np.float64),
+        (np.ones(2, np.float16), np.float64), ([1, 2], np.float64), (0.5, np.float64),
+    ])
+    def test_tensor_keeps_float32_and_float64_only(self, data, want):
+        assert TapeTensor(data).data.dtype == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constants_take_the_tensor_dtype(self, dtype):
+        rng = np.random.default_rng(0)
+        t = TapeTensor(rng.normal(size=(2, 3)).astype(dtype), trainable=True)
+        other = np.float64 if dtype == np.float32 else np.float32
+        const = rng.normal(size=(2, 3)).astype(other)
+        w = rng.normal(size=(3, 3)).astype(other)
+        with Tape():
+            outs = [t + const, const + t, t - const, const - t, t * const, t / 2.0,
+                    2.0 / (t * t + 1.0), t * np.float64(0.5), tape.matmul(t, w),
+                    tape.linear(t, w, np.zeros(3)), tape.linear(const, t.reshape(3, 2),
+                                                                np.zeros(2)),
+                    tape.layer_norm(t, np.ones(3), np.zeros(3)), tape.tmean(t),
+                    tape.concat([t, const], axis=-1), tape.relu(t), tape.sigmoid(t),
+                    tape.softmax(t), tape.log_softmax(t), tape.softplus(t),
+                    tape.dropout(t, 0.5, rng, training=True)]
+            loss = tape.tsum(tape.concat([o.reshape(-1) for o in outs], axis=0))
+        backward(loss)
+        assert [o.data.dtype for o in outs] == [np.dtype(dtype)] * len(outs)
+        assert loss.data.dtype == dtype and t.grad.dtype == dtype
+
+    @pytest.mark.parametrize("op", [tape.add, tape.mul, tape.div, tape.matmul,
+                                    lambda a, b: tape.concat([a, b])])
+    def test_mixed_tensor_dtypes_raise_naming_both(self, op):
+        a = TapeTensor(np.ones((2, 2), np.float32))
+        b = TapeTensor(np.ones((2, 2)))
+        with pytest.raises(ContractError, match="float32.*float64"):
+            op(a, b)
+
+    def test_mixed_dtypes_in_fused_ops_raise(self):
+        x = TapeTensor(np.ones((2, 3), np.float32))
+        with pytest.raises(ContractError, match="float32.*float64"):
+            tape.linear(x, TapeTensor(np.ones((3, 2))), np.zeros(2))
+        with pytest.raises(ContractError, match="float32.*float64"):
+            tape.layer_norm(x, TapeTensor(np.ones(3)), np.zeros(3))

@@ -7,13 +7,15 @@ import os
 import numpy as np
 import pytest
 
-from labmlm import tape
+from labmlm import tape, training
 from labmlm.corpus import (
     LabBag,
     build_bags,
+    code_frequencies,
     generate_synthetic_corpus,
     mask_bag,
     pad_batch,
+    split_patients,
 )
 from labmlm.ecdf import build_continuous_vocab, build_decile_vocab, build_ecdf
 from labmlm.errors import (
@@ -384,6 +386,38 @@ class TestPretrain:
         dumps = [f for f in os.listdir(tmp_path / "run") if f.startswith("diagnostic")]
         assert len(dumps) == 1
 
+    def test_nonfinite_gradient_stops_before_the_update(self, tmp_path, monkeypatch):
+        params, bags, _ = self.model_and_bags()
+        before = {n: t.data.copy() for n, t in params.named_tensors()}
+        real_backward = training.backward
+
+        def poisoned(loss):
+            real_backward(loss)
+            params.by_name["block0.ff1_w"].grad[0, 0] = np.inf
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        cfg = TrainConfig(steps=2, batch_size=4, learning_rate=1e-3, dropout=0.0, seed=4)
+        with pytest.raises(NumericError,
+                           match="non-finite gradient in 'block0.ff1_w' at step 1"):
+            pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
+        for n, t in params.named_tensors():
+            assert np.array_equal(t.data, before[n]), n
+        dumps = [f for f in os.listdir(tmp_path / "run") if f.startswith("diagnostic")]
+        assert dumps == ["diagnostic-step1.npz"]
+
+    def test_gradient_check_finds_the_first_bad_tensor_only(self):
+        def named(*grads):
+            out = []
+            for i, g in enumerate(grads):
+                t = TapeTensor(np.zeros(2, np.float32))
+                t.grad = None if g is None else np.asarray(g, np.float32)
+                out.append((f"t{i}", t))
+            return out
+
+        # float32 sums of large finite values overflow, but nothing is non-finite
+        assert training._first_nonfinite_grad(named(None, [3e38, 3e38], [1, 2])) is None
+        assert training._first_nonfinite_grad(named([1, 2], [0, np.nan], [np.inf, 0])) == "t1"
+
     def test_caller_config_unchanged(self, tmp_path):
         params, bags, _ = self.model_and_bags()
         params.config.dropout_rate = 0.25
@@ -475,3 +509,53 @@ class TestEvaluateImputation:
         cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=1, num_heads=2, ff_dim=16)
         with pytest.raises(ContractError):
             evaluate_imputation(init_params(cfg, seed=0), [], vocab, DECODE_CONTINUOUS)
+
+
+def panel_corpus(seed):
+    """The acceptance suite's 20-code, 4-panel corpus, split 0.8/0.1/0.1 by patient."""
+    angles = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
+    loadings = np.stack([(-1.0 if j // 4 == 1 else 1.0)
+                         * np.array([np.cos(angles[j % 4]), np.sin(angles[j % 4])])
+                         for j in range(20)])
+    events, _ = generate_synthetic_corpus(2000, 20, latent_dim=2, seed=seed, n_panels=4,
+                                          loadings=loadings, sigmas=np.full(20, 0.05))
+    by_code = {}
+    for e in events:
+        if e.value is not None:
+            by_code.setdefault(e.code_id, []).append(e.value)
+    ecdfs = {c: build_ecdf(c, np.asarray(v)) for c, v in sorted(by_code.items())}
+    ids = split_patients({e.patient_id for e in events}, (0.8, 0.1, 0.1), seed=seed)
+    splits = [[e for e in events if e.patient_id in part] for part in ids[:2]]
+    return code_frequencies(events), ecdfs, splits
+
+
+@pytest.fixture(scope="module")
+def seed1_corpus():
+    return panel_corpus(seed=1)
+
+
+class TestFloat32Trajectory:
+    """40 acceptance-config steps in float32 track the float64 run's losses."""
+
+    @pytest.mark.parametrize("mode", ["continuous", "decile"])
+    def test_float32_tracks_float64_and_reruns_byte_identically(self, seed1_corpus,
+                                                                 tmp_path, mode):
+        counts, ecdfs, splits = seed1_corpus
+        vocab = (build_continuous_vocab(counts) if mode == "continuous"
+                 else build_decile_vocab(ecdfs, counts))
+        train_bags, val_bags = (build_bags(s, vocab, ecdfs)[0] for s in splits)
+        cfg = ModelConfig.from_vocab(vocab, d_model=64, num_layers=4, num_heads=2, ff_dim=128)
+        tcfg = TrainConfig(steps=40, batch_size=32, learning_rate=1e-3, seed=1, val_batches=4)
+        runs = {}
+        for name, dtype in (("f64", np.float64), ("f32", np.float32), ("f32b", np.float32)):
+            params = init_params(cfg, seed=1, dtype=dtype)
+            result = pretrain(params, train_bags, val_bags, tcfg, tmp_path / name)
+            ckpt = open(result.final_checkpoint, "rb").read()
+            runs[name] = (result.history, open(result.metrics_path, "rb").read(), ckpt)
+        wide, narrow = runs["f64"][0], runs["f32"][0]
+        assert [r[:2] for r in wide] == [r[:2] for r in narrow]
+        assert len(narrow) == 40 + 2
+        for w, n in zip(wide, narrow):
+            assert abs(n[2] - w[2]) <= 1e-5 * abs(w[2]), (w, n)
+        assert runs["f32"][1:] == runs["f32b"][1:]
+        assert runs["f32"][2] != runs["f64"][2]

@@ -93,14 +93,21 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def _runtime(dtype) -> dict:
-    """What byte-identical reruns depend on besides the inputs and seeds."""
+    """What byte-identical reruns depend on besides the inputs and seeds.
+
+    With no thread variable set, BLAS sizes its thread pool from the CPUs the
+    process may run on, so that count is recorded too.
+    """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         blas = {}
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
             "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+            "cpus": cpus,
             "dtype": np.dtype(dtype).name}
 
 
@@ -245,14 +252,11 @@ PRETRAIN_DEFAULTS = {
     "mask_count": 1,
     "remask": False,
     "val_batches": None,
-    "dtype": "float32",
 }
 
 
 def cmd_pretrain(args, out: _Outputs) -> int:
     cfg = _resolve_config(PRETRAIN_DEFAULTS, args.config, args)
-    if cfg["dtype"] not in ("float32", "float64"):
-        raise ConfigError(f'dtype must be "float32" or "float64", got {cfg["dtype"]!r}')
     data = Path(args.data)
     vocab = _load_vocab(data)
     train_bags = list(read_shards(data / "train"))
@@ -271,12 +275,12 @@ def cmd_pretrain(args, out: _Outputs) -> int:
 
     out_dir = out.mkdir(args.out)
     out.mkdir(out_dir / "checkpoints")
+    params = init_params(model_cfg, seed=cfg["seed"])
     _write_json(out.file(out_dir / "config.json"),
                 {"data": str(data), "model": model_cfg.to_dict(), "train": cfg,
-                 "runtime": _runtime(cfg["dtype"])})
+                 "runtime": _runtime(params.dtype)})
     out.file(out_dir / "metrics.csv")
 
-    params = init_params(model_cfg, seed=cfg["seed"], dtype=cfg["dtype"])
     result = pretrain(params, train_bags, val_bags, train_cfg, out_dir)
 
     final_val = [row for row in result.history if row[1] == "val"][-1]

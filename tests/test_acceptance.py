@@ -15,19 +15,17 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_grads_close
+from panel_corpus import panel_corpus
 from labmlm import tape
 from labmlm.corpus import (
     Batch,
     LabBag,
     bag_payload_equal,
     build_bags,
-    code_frequencies,
     generate_outcome_dataset,
-    generate_synthetic_corpus,
     mask_bag,
     pad_batch,
     read_shards,
-    split_patients,
     write_shards,
 )
 from labmlm.ecdf import (
@@ -104,31 +102,7 @@ def make_bag(rng, n_codes, length, pid="p"):
 
 @pytest.fixture(scope="module")
 def corpus():
-    # four 5-code panels, each tied to one latent direction with unit-norm
-    # loadings over sigma 0.05, so a masked value is recoverable from its
-    # companions; one member per panel carries a flipped sign so random
-    # weights cannot impute by naive averaging while a trained model still
-    # can (code identity reveals the sign)
-    angles = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
-    loadings = np.stack([(-1.0 if j // 4 == 1 else 1.0)
-                         * np.array([np.cos(angles[j % 4]), np.sin(angles[j % 4])])
-                         for j in range(20)])
-    events, truth = generate_synthetic_corpus(
-        2000, 20, latent_dim=2, seed=0, n_panels=4,
-        loadings=loadings, sigmas=np.full(20, 0.05))
-    counts = code_frequencies(events)
-    by_code = {}
-    for e in events:
-        if e.value is not None:
-            by_code.setdefault(e.code_id, []).append(e.value)
-    ecdfs = {c: build_ecdf(c, np.asarray(v)) for c, v in sorted(by_code.items())}
-    train_ids, val_ids, _ = split_patients(
-        {e.patient_id for e in events}, (0.9, 0.1, 0.0), seed=0)
-    splits = {
-        "train": [e for e in events if e.patient_id in train_ids],
-        "val": [e for e in events if e.patient_id in val_ids],
-    }
-    return truth, counts, ecdfs, splits
+    return panel_corpus(seed=0, fractions=(0.9, 0.1, 0.0))
 
 
 def _pretrain_run(vocab, ecdfs, splits, out_dir):

@@ -6,16 +6,15 @@ import os
 
 import numpy as np
 import pytest
+from panel_corpus import panel_corpus
 
 from labmlm import tape, training
 from labmlm.corpus import (
     LabBag,
     build_bags,
-    code_frequencies,
     generate_synthetic_corpus,
     mask_bag,
     pad_batch,
-    split_patients,
 )
 from labmlm.ecdf import build_continuous_vocab, build_decile_vocab, build_ecdf
 from labmlm.errors import (
@@ -511,27 +510,9 @@ class TestEvaluateImputation:
             evaluate_imputation(init_params(cfg, seed=0), [], vocab, DECODE_CONTINUOUS)
 
 
-def panel_corpus(seed):
-    """The acceptance suite's 20-code, 4-panel corpus, split 0.8/0.1/0.1 by patient."""
-    angles = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
-    loadings = np.stack([(-1.0 if j // 4 == 1 else 1.0)
-                         * np.array([np.cos(angles[j % 4]), np.sin(angles[j % 4])])
-                         for j in range(20)])
-    events, _ = generate_synthetic_corpus(2000, 20, latent_dim=2, seed=seed, n_panels=4,
-                                          loadings=loadings, sigmas=np.full(20, 0.05))
-    by_code = {}
-    for e in events:
-        if e.value is not None:
-            by_code.setdefault(e.code_id, []).append(e.value)
-    ecdfs = {c: build_ecdf(c, np.asarray(v)) for c, v in sorted(by_code.items())}
-    ids = split_patients({e.patient_id for e in events}, (0.8, 0.1, 0.1), seed=seed)
-    splits = [[e for e in events if e.patient_id in part] for part in ids[:2]]
-    return code_frequencies(events), ecdfs, splits
-
-
 @pytest.fixture(scope="module")
 def seed1_corpus():
-    return panel_corpus(seed=1)
+    return panel_corpus(seed=1, fractions=(0.8, 0.1, 0.1))
 
 
 class TestFloat32Trajectory:
@@ -540,10 +521,10 @@ class TestFloat32Trajectory:
     @pytest.mark.parametrize("mode", ["continuous", "decile"])
     def test_float32_tracks_float64_and_reruns_byte_identically(self, seed1_corpus,
                                                                  tmp_path, mode):
-        counts, ecdfs, splits = seed1_corpus
+        _, counts, ecdfs, splits = seed1_corpus
         vocab = (build_continuous_vocab(counts) if mode == "continuous"
                  else build_decile_vocab(ecdfs, counts))
-        train_bags, val_bags = (build_bags(s, vocab, ecdfs)[0] for s in splits)
+        train_bags, val_bags = (build_bags(splits[s], vocab, ecdfs)[0] for s in ("train", "val"))
         cfg = ModelConfig.from_vocab(vocab, d_model=64, num_layers=4, num_heads=2, ff_dim=128)
         tcfg = TrainConfig(steps=40, batch_size=32, learning_rate=1e-3, seed=1, val_batches=4)
         runs = {}

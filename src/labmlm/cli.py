@@ -268,10 +268,9 @@ def cmd_pretrain(args, out: _Outputs) -> int:
         dropout_rate=cfg["dropout"])
     train_cfg = TrainConfig(
         steps=cfg["steps"], batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"], dropout=cfg["dropout"],
-        seed=cfg["seed"], checkpoint_interval=cfg["checkpoint_interval"],
-        mask_count=cfg["mask_count"], remask=cfg["remask"],
-        val_batches=cfg["val_batches"])
+        learning_rate=cfg["learning_rate"], seed=cfg["seed"],
+        checkpoint_interval=cfg["checkpoint_interval"], mask_count=cfg["mask_count"],
+        remask=cfg["remask"], val_batches=cfg["val_batches"])
 
     out_dir = out.mkdir(args.out)
     out.mkdir(out_dir / "checkpoints")

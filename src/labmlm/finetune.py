@@ -8,13 +8,15 @@ before the head. Heads are scored with k-fold cross-validation over an
 exhaustive hyperparameter grid, and a regularized logistic (or plain least
 squares) baseline can be fit on the same folds for comparison.
 
-Heads can be stacked along a leading member axis M (`stack_heads`): weights
-become (M, fan_in, fan_out) and biases (M, 1, fan_out), and one forward,
-backward and Adam step then train every member at once, each with its own
-learning rate, dropout rate and generator. The grid search trains the
-learning-rate x dropout cells that share a replicate, a fold, epochs and a
-batch size as one stack; every member ends bit-identical to the same head
-trained alone.
+Every head is a stack of M >= 1 members along a leading member axis:
+`init_finetune_head` draws one member per generator, weights are
+(M, fan_in, fan_out) and biases (M, 1, fan_out). One forward, backward and
+Adam step train every member at once, each with its own learning rate,
+dropout rate and generator, and one untracked forward scores them all. A lone
+head is a one-member stack. The grid search trains the learning-rate x
+dropout cells that share a replicate, a fold, epochs and a batch size as one
+stack; every member ends bit-identical to the same cell trained as a
+one-member stack.
 
 A head's tensors live in one mapping keyed by the names that
 `init_finetune_head`'s spec declares (`extra_w`, `extra_b`, `dense_w`, ...),
@@ -198,14 +200,18 @@ def pool_embeddings(base: ModelParams, bags, batch_size: int = 128) -> np.ndarra
 
 @dataclass
 class FinetuneHead:
-    """A task head's tensors keyed by init_finetune_head's spec names, in spec order."""
+    """A stack of M >= 1 task heads along a leading member axis.
+
+    Tensors are keyed by init_finetune_head's spec names, in spec order:
+    weights are (M, fan_in, fan_out) and biases (M, 1, fan_out), so a bias
+    broadcasts over each member's batch rows.
+    """
     task_kind: str
     by_name: dict = field(repr=False)
 
     @property
-    def stacked(self) -> bool:
-        """True when every tensor carries a leading member axis."""
-        return self.by_name["dense_w"].ndim == 3
+    def members(self) -> int:
+        return self.by_name["dense_w"].shape[0]
 
     def named_tensors(self):
         return list(self.by_name.items())
@@ -214,13 +220,14 @@ class FinetuneHead:
         return list(self.by_name.values())
 
 
-def _is_bias(name: str) -> bool:
-    return name.endswith("_b")
-
-
-def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2,
+def init_finetune_head(rngs, d_model, n_extra, task_kind, n_classes=2,
                        dtype=np.float32) -> FinetuneHead:
-    """A fresh head; like init_params, it draws float64 values and casts them to `dtype`."""
+    """A fresh stack with one member per generator in `rngs`.
+
+    Member m draws from rngs[m] alone, so it holds what a one-member stack
+    drawn from that generator holds. Like init_params, values are drawn in
+    float64 and cast to `dtype`.
+    """
     if task_kind not in _TASKS:
         raise ConfigError(f"unknown task kind {task_kind!r}")
     out_dim = n_classes if task_kind == TASK_MULTICLASS else 1
@@ -228,41 +235,28 @@ def init_finetune_head(rng, d_model, n_extra, task_kind, n_classes=2,
     spec = []
     width = d_model
     if n_extra > 0:
-        spec += [("extra_w", (n_extra, n_extra), "glorot"), ("extra_b", (n_extra,), "zeros")]
+        spec += [("extra_w", (n_extra, n_extra), "glorot"), ("extra_b", (1, n_extra), "zeros")]
         width += n_extra
-    spec += [("dense_w", (width, width), "glorot"), ("dense_b", (width,), "zeros"),
-             ("out_w", (width, out_dim), "glorot"), ("out_b", (out_dim,), "zeros")]
-    return FinetuneHead(task_kind, init_tensors(rng, spec, dtype))
+    spec += [("dense_w", (width, width), "glorot"), ("dense_b", (1, width), "zeros"),
+             ("out_w", (width, out_dim), "glorot"), ("out_b", (1, out_dim), "zeros")]
+    members = [init_tensors(rng, spec, dtype) for rng in rngs]
+    return FinetuneHead(task_kind, {
+        name: TapeTensor(np.stack([m[name].data for m in members]), trainable=True, name=name)
+        for name, _, _ in spec})
 
 
-def stack_heads(heads) -> FinetuneHead:
-    """Copy same-shaped heads into one head with a leading member axis.
-
-    Weights become (M, fan_in, fan_out) and biases (M, 1, fan_out), so a
-    bias broadcasts over each member's batch rows.
-    """
-    stacked = {}
-    for name in heads[0].by_name:
-        data = np.stack([h.by_name[name].data for h in heads])
-        stacked[name] = TapeTensor(data[:, None, :] if _is_bias(name) else data, trainable=True)
-    return FinetuneHead(heads[0].task_kind, stacked)
-
-
-def unstack_heads(stack: FinetuneHead) -> list:
-    """One head per member whose tensors view the stack's arrays."""
-    return [FinetuneHead(stack.task_kind,
-                         {name: TapeTensor(t.data[m, 0] if _is_bias(name) else t.data[m],
-                                           trainable=True)
-                          for name, t in stack.by_name.items()})
-            for m in range(stack.by_name["dense_w"].shape[0])]
+def _per_member(a, members) -> np.ndarray:
+    """[b, width] inputs that every member shares as a read-only [M, b, width] view."""
+    a = np.asarray(a)
+    return a if a.ndim == 3 else np.broadcast_to(a, (members, *a.shape))
 
 
 def _member_dropout(z, rates, rngs, training) -> TapeTensor:
-    """`tape.dropout` on each member of a stacked [M, b, width] activation.
+    """`tape.dropout` on each member of a [M, b, width] activation.
 
     Member m draws its mask from rngs[m]; a member with rate 0 draws nothing
-    and keeps every unit, as `tape.dropout` does for one head. A single rate
-    applies to every member.
+    and keeps every unit, as `tape.dropout` does. A single rate applies to
+    every member.
     """
     rates = np.broadcast_to(np.asarray(rates, dtype=float), z.shape[:1])
     for rate in rates:
@@ -281,25 +275,24 @@ def _member_dropout(z, rates, rngs, training) -> TapeTensor:
 
 def head_logits(head: FinetuneHead, pooled, extras=None, training=False,
                 rng=None, dropout=0.0) -> TapeTensor:
-    """Head logits for [b, d] inputs, or [M, b, d] for a stacked head.
+    """[M, b] logits ([M, b, C] for multiclass) from numpy inputs.
 
-    A stacked head takes one dropout rate and one generator per member.
-    Numpy inputs stay constants, so they take the head's dtype and get no
-    gradient.
+    Inputs are [b, width], shared by every member, or [M, b, width], one
+    batch per member. They stay constants, so they take the head's dtype and
+    get no gradient. Training dropout takes one generator per member in `rng`
+    and one rate per member, or one rate for all.
     """
     p = head.by_name
-    x = pooled
+    x = _per_member(pooled, head.members)
     if "extra_w" in p:
         width = p["extra_w"].shape[-2]
         if extras is None or np.asarray(extras).shape[-1] != width:
             raise ConfigError(f"head expects extra features of width {width}")
-        e = tape.relu(tape.matmul(extras, p["extra_w"]) + p["extra_b"])
+        e = tape.relu(tape.matmul(_per_member(extras, head.members), p["extra_w"])
+                      + p["extra_b"])
         x = tape.concat([x, e], axis=-1)
     z = tape.relu(tape.matmul(x, p["dense_w"]) + p["dense_b"])
-    if head.stacked:
-        z = _member_dropout(z, dropout, rng, training)
-    else:
-        z = tape.dropout(z, dropout, rng, training)
+    z = _member_dropout(z, dropout, rng, training)
     logits = tape.matmul(z, p["out_w"]) + p["out_b"]
     if head.task_kind != TASK_MULTICLASS:
         logits = tape.reshape(logits, logits.shape[:-1])
@@ -308,7 +301,7 @@ def head_logits(head: FinetuneHead, pooled, extras=None, training=False,
 
 def finetune_forward(base: ModelParams, batch, extras, head: FinetuneHead,
                      training=False, rng=None, dropout=0.0) -> TapeTensor:
-    """Frozen base encode, pool, head, task activation."""
+    """Frozen base encode, pool, head, task activation: [M, b] or [M, b, C]."""
     logits = head_logits(head, _pool(base, batch), extras, training, rng, dropout)
     if head.task_kind == TASK_BINARY:
         return tape.sigmoid(logits)
@@ -318,64 +311,49 @@ def finetune_forward(base: ModelParams, batch, extras, head: FinetuneHead,
 
 
 def _member_losses(head: FinetuneHead, logits, labels) -> TapeTensor:
-    """Each member's mean loss: shape (M,) for a stacked head, else a scalar."""
-    axis = -1 if head.stacked else None
+    """Each member's mean loss, shape (M,), for [b] shared or [M, b] labels."""
     labels = np.asarray(labels, dtype=float)
     if head.task_kind == TASK_BINARY:
         # -[y log p + (1-y) log(1-p)] = softplus(z) - y z
-        return tape.tmean(tape.softplus(logits) - tape.mul(logits, labels), axis=axis)
+        return tape.tmean(tape.softplus(logits) - tape.mul(logits, labels), axis=-1)
     if head.task_kind == TASK_MULTICLASS:
         logp = tape.log_softmax(logits, axis=-1)
         ids = np.broadcast_to(labels.astype(np.int64), logp.shape[:-1])
-        return tape.neg(tape.tmean(tape.take_along_last(logp, ids), axis=axis))
+        return tape.neg(tape.tmean(tape.take_along_last(logp, ids), axis=-1))
     diff = logits - labels
-    return tape.tmean(tape.mul(diff, diff), axis=axis)
+    return tape.tmean(tape.mul(diff, diff), axis=-1)
 
 
 def head_loss(head: FinetuneHead, logits, labels) -> TapeTensor:
-    """Mean CE (from logits) for classification, mean squared error otherwise.
+    """The sum of the members' mean losses.
 
-    A stacked head's loss is the sum of its members' means, so each member
-    gets exactly the gradient it would get alone.
+    Each member's loss is a mean CE (from logits) for classification and a
+    mean squared error for regression. Summing gives each member exactly the
+    gradient it would get alone.
     """
-    losses = _member_losses(head, logits, labels)
-    return tape.tsum(losses) if head.stacked else losses
+    return tape.tsum(_member_losses(head, logits, labels))
 
 
 def train_head(head: FinetuneHead, pooled, extras, labels, *, epochs, batch_size,
-               learning_rate, dropout, seed):
-    """Adam over minibatches; returns the final-epoch mean training loss.
+               learning_rate, dropout, seed) -> np.ndarray:
+    """Adam over minibatches; returns each member's final-epoch mean training loss.
 
-    A stacked head takes a sequence of learning rates, dropout rates and seeds,
-    one per member, and returns one loss per member. Every member shares the
-    training rows but draws its own epoch orders and dropout masks from its own
-    generator, and ends bit-identical to the same head trained alone.
+    `learning_rate`, `dropout` and `seed` are sequences with one entry per
+    member. Every member shares the training rows but draws its own epoch
+    orders and dropout masks from its own generator, so it ends bit-identical
+    to a one-member stack trained alone.
     """
-    if head.stacked:
-        return _train_stack(head, pooled, extras, labels, epochs, batch_size,
-                            learning_rate, dropout, seed)
-    stack = stack_heads([head])
-    losses = _train_stack(stack, pooled, extras, labels, epochs, batch_size,
-                          [learning_rate], [dropout], [seed])
-    for t, trained in zip(head.tensors(), unstack_heads(stack)[0].tensors()):
-        t.data[...] = trained.data
-    return float(losses[0])
-
-
-def _train_stack(stack, pooled, extras, labels, epochs, batch_size, learning_rates,
-                 dropouts, seeds) -> np.ndarray:
     n = len(labels)
     if batch_size > n:
         raise ConfigError(f"batch_size {batch_size} exceeds {n} training samples")
-    members = stack.by_name["dense_w"].shape[0]
-    if not len(learning_rates) == len(dropouts) == len(seeds) == members:
+    members = head.members
+    if not len(learning_rate) == len(dropout) == len(seed) == members:
         raise ConfigError(f"a stack of {members} heads needs {members} learning rates, "
                           "dropout rates and seeds")
-    rngs = [np.random.default_rng(s) for s in seeds]
-    tensors = stack.tensors()
-    dtype = stack.by_name["dense_w"].data.dtype
-    lrs = np.asarray(learning_rates, dtype=dtype)
-    adam = AdamState(tensors, lrs.reshape(-1, 1, 1))
+    rngs = [np.random.default_rng(s) for s in seed]
+    tensors = head.tensors()
+    dtype = head.by_name["dense_w"].data.dtype
+    adam = AdamState(tensors, np.asarray(learning_rate, dtype=dtype).reshape(-1, 1, 1))
     pooled = np.asarray(pooled, dtype=dtype)
     extras = None if extras is None else np.asarray(extras, dtype=dtype)
     labels = np.asarray(labels)
@@ -387,10 +365,10 @@ def _train_stack(stack, pooled, extras, labels, epochs, batch_size, learning_rat
             idx = orders[:, start : start + batch_size]
             zero_param_grads(tensors)
             with Tape():
-                logits = head_logits(stack, pooled[idx],
+                logits = head_logits(head, pooled[idx],
                                      None if extras is None else extras[idx],
-                                     training=True, rng=rngs, dropout=dropouts)
-                member = _member_losses(stack, logits, labels[idx])
+                                     training=True, rng=rngs, dropout=dropout)
+                member = _member_losses(head, logits, labels[idx])
                 backward(tape.tsum(member))
             adam_step(adam)
             losses.append(member.data)
@@ -399,10 +377,10 @@ def _train_stack(stack, pooled, extras, labels, epochs, batch_size, learning_rat
     return last
 
 
-def eval_head(head: FinetuneHead, pooled, extras, labels) -> float:
+def eval_head(head: FinetuneHead, pooled, extras, labels) -> np.ndarray:
+    """Each member's mean loss on shared inputs, shape (M,), from one untracked forward."""
     with untracked():
-        logits = head_logits(head, pooled, extras, training=False)
-        return head_loss(head, logits, labels).item()
+        return _member_losses(head, head_logits(head, pooled, extras), labels).data
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +440,11 @@ def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecd
     embeddings never change); every grid cell trains only a head. Replicates
     vary the seed alone, which redraws fold assignments and head inits.
     Within a replicate and a fold, the learning-rate x dropout cells that
-    share epochs and a batch size train as one stack of heads; each cell's
-    head keeps its own init and training seed, so every row matches training
-    each head alone. The winner has the lowest mean held-out metric; ties
-    prefer fewer epochs, then a smaller learning rate.
+    share epochs and a batch size train as one stack of heads, and one
+    forward scores the whole stack on the held-out rows. Each cell's member
+    keeps its own init and training seed, so every row matches training and
+    scoring that cell as a one-member stack. The winner has the lowest mean
+    held-out metric; ties prefer fewer epochs, then a smaller learning rate.
     """
     labels = dataset.labels
     _check_labels(labels, cfg.task_kind, cfg.n_classes)
@@ -498,18 +477,18 @@ def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecd
             train_extras = None if extras is None else extras[train_idx]
             test_extras = None if extras is None else extras[test_idx]
             for (epochs, batch_size), members in stacks.items():
-                stack = stack_heads([init_finetune_head(
-                    np.random.default_rng((rep_seed * 1009 + ci) * 31 + f),
+                head = init_finetune_head(
+                    [np.random.default_rng((rep_seed * 1009 + ci) * 31 + f) for ci in members],
                     pooled.shape[1], n_extra, cfg.task_kind, cfg.n_classes, pooled.dtype)
-                    for ci in members])
-                train_head(stack, train_pooled, train_extras, labels[train_idx],
+                train_head(head, train_pooled, train_extras, labels[train_idx],
                            epochs=epochs, batch_size=batch_size,
                            learning_rate=[cells[ci][2] for ci in members],
                            dropout=[cells[ci][3] for ci in members],
                            seed=[(rep_seed * 7919 + ci) * 31 + f for ci in members])
-                for ci, head in zip(members, unstack_heads(stack)):
-                    fold_metrics[ci].append(eval_head(
-                        head, test_pooled, test_extras, labels[test_idx]))
+                # Python floats, so the fold mean below sums in float64
+                losses = eval_head(head, test_pooled, test_extras, labels[test_idx]).tolist()
+                for ci, loss in zip(members, losses):
+                    fold_metrics[ci].append(loss)
         for ci, metrics in enumerate(fold_metrics):
             per_cell[ci].append(float(np.mean(metrics)))
 
@@ -582,7 +561,7 @@ def _softmax_regression(x, y, c, n_classes, steps=400, lr=0.3):
     for _ in range(steps):
         zero_param_grads([w, b])
         with Tape():
-            logp = tape.log_softmax(tape.matmul(TapeTensor(x), w) + b, axis=-1)
+            logp = tape.log_softmax(tape.matmul(x, w) + b, axis=-1)
             ce = tape.neg(tape.tmean(tape.take_along_last(logp, y_idx)))
             penalty = tape.mul(tape.tsum(tape.mul(w, w)), c / 2.0)
             backward(ce + penalty)

@@ -30,10 +30,8 @@ constant they meet (truths, masks, the pad bias) to it.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -41,7 +39,7 @@ import numpy as np
 
 from . import tape
 from .attention import attention_spec, multi_head_attention
-from .corpus import Batch
+from .corpus import Batch, write_atomic
 from .ecdf import MODE_CONTINUOUS, MODE_DECILE
 from .errors import ConfigError, DataError, FormatError, VocabError
 from .tape import TapeTensor, init_tensors
@@ -342,22 +340,8 @@ def save_checkpoint(path, params: ModelParams) -> None:
         offset += len(raw)
     manifest = json.dumps({"config": params.config.to_dict(), "dtype": dtype, "tensors": index},
                           sort_keys=True).encode()
-    # Write beside the target and rename over it, so an interrupted save
-    # leaves the previous checkpoint whole.
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(bytes([CHECKPOINT_VERSION]))
-            fh.write(struct.pack("<I", len(manifest)))
-            fh.write(manifest)
-            for raw in blobs:
-                fh.write(raw)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    write_atomic(path, b"".join([CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]),
+                                 struct.pack("<I", len(manifest)), manifest, *blobs]))
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -46,7 +46,6 @@ class TrainConfig:
     steps: int
     batch_size: int = 256
     learning_rate: float = 1e-5
-    dropout: float = 0.1
     seed: int = 0
     checkpoint_interval: int = 14000
     mask_count: int = 1
@@ -60,8 +59,6 @@ class TrainConfig:
             raise ConfigError("batch_size, mask_count, checkpoint_interval must be >= 1")
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -219,21 +216,12 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
     """Adam pre-training with per-step train rows and periodic validation.
 
     Everything is driven by config.seed: batch sampling, masking, dropout.
-    The run trains in the dtype of `params`. A rerun with the same inputs,
-    dtype, numpy and BLAS builds and BLAS thread count writes byte-identical
-    logs and checkpoints. A non-finite loss or gradient aborts before the
-    Adam step, with the offending batch dumped next to the log.
-    The run trains with config.dropout, and its checkpoints record that rate;
-    params.config gets the caller's rate back when pretrain returns or raises.
+    The run trains in the dtype of `params`, at its `config.dropout_rate`.
+    A rerun with the same inputs, dtype, numpy and BLAS builds and BLAS
+    thread count writes byte-identical logs and checkpoints. A non-finite
+    loss or gradient aborts before the Adam step, with the offending batch
+    dumped next to the log.
     """
-    caller_dropout = params.config.dropout_rate
-    try:
-        return _pretrain(params, train_bags, val_bags, config, out_dir)
-    finally:
-        params.config.dropout_rate = caller_dropout
-
-
-def _pretrain(params, train_bags, val_bags, config, out_dir):
     if not train_bags:
         raise ContractError("pretrain needs a nonempty training set")
     if not val_bags:
@@ -252,7 +240,6 @@ def _pretrain(params, train_bags, val_bags, config, out_dir):
 
     trainables = params.tensors()
     adam = AdamState(trainables, config.learning_rate)
-    params.config.dropout_rate = config.dropout
 
     history = []
     checkpoints = []

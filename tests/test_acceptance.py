@@ -387,7 +387,7 @@ def test_criterion_8_finetune_protocol(corpus, continuous_run):
         # parameter without a gradient
         bags = dataset_bags(dataset, vocab, ecdfs)
         probe = pad_batch(bags[:8])
-        head = init_finetune_head(np.random.default_rng(0),
+        head = init_finetune_head([np.random.default_rng(0)],
                                   base.config.d_model, 0, TASK_BINARY)
         for _, t in base.named_tensors():
             t.grad = None

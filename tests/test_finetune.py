@@ -15,6 +15,7 @@ from labmlm.errors import ConfigError, DataError
 from labmlm.finetune import (
     FinetuneConfig,
     FinetuneDataset,
+    FinetuneHead,
     DEFAULT_L2_GRID,
     TASK_BINARY,
     TASK_MULTICLASS,
@@ -33,9 +34,7 @@ from labmlm.finetune import (
     make_folds,
     mean_min_max,
     pool_embeddings,
-    stack_heads,
     train_head,
-    unstack_heads,
 )
 from labmlm.model import ModelConfig, init_params
 from labmlm.optim import AdamState, adam_step, zero_param_grads
@@ -229,21 +228,27 @@ class TestPooling:
         np.testing.assert_array_equal(joint[0], alone[0])
 
 
+def one_head(task_kind, seed, d_model, n_extra=0, n_classes=2):
+    """A one-member stack drawn from default_rng(seed)."""
+    return init_finetune_head([np.random.default_rng(seed)], d_model, n_extra, task_kind,
+                              n_classes=n_classes)
+
+
 class TestHead:
     def test_no_extras_skips_concat(self):
-        head = init_finetune_head(np.random.default_rng(0), 8, 0, TASK_BINARY)
+        head = one_head(TASK_BINARY, 0, 8)
         assert "extra_w" not in head.by_name
-        assert head.by_name["dense_w"].shape == (8, 8)
+        assert head.by_name["dense_w"].shape == (1, 8, 8)
         logits = head_logits(head, np.random.default_rng(1).normal(size=(4, 8)))
-        assert logits.shape == (4,)
+        assert logits.shape == (1, 4)
 
     def test_extras_widen_the_head(self):
-        head = init_finetune_head(np.random.default_rng(0), 8, 3, TASK_BINARY)
-        assert head.by_name["extra_w"].shape == (3, 3)
-        assert head.by_name["dense_w"].shape == (11, 11)
+        head = one_head(TASK_BINARY, 0, 8, n_extra=3)
+        assert head.by_name["extra_w"].shape == (1, 3, 3)
+        assert head.by_name["dense_w"].shape == (1, 11, 11)
         rng = np.random.default_rng(1)
         logits = head_logits(head, rng.normal(size=(4, 8)), rng.normal(size=(4, 3)))
-        assert logits.shape == (4,)
+        assert logits.shape == (1, 4)
         with pytest.raises(ConfigError):
             head_logits(head, rng.normal(size=(4, 8)), rng.normal(size=(4, 2)))
 
@@ -253,24 +258,24 @@ class TestHead:
         ds = toy_dataset(vocab, n=6)
         batch = pad_batch(dataset_bags(ds, vocab, ecdfs))
         rng = np.random.default_rng(3)
-        binary = init_finetune_head(rng, 8, 0, TASK_BINARY)
-        multi = init_finetune_head(rng, 8, 0, TASK_MULTICLASS, n_classes=3)
-        regress = init_finetune_head(rng, 8, 0, TASK_REGRESSION)
+        binary = init_finetune_head([rng], 8, 0, TASK_BINARY)
+        multi = init_finetune_head([rng], 8, 0, TASK_MULTICLASS, n_classes=3)
+        regress = init_finetune_head([rng], 8, 0, TASK_REGRESSION)
         p = finetune_forward(base, batch, None, binary).data
-        assert p.shape == (6,)
+        assert p.shape == (1, 6)
         assert np.all((p > 0) & (p < 1))
         q = finetune_forward(base, batch, None, multi).data
-        assert q.shape == (6, 3)
-        np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
+        assert q.shape == (1, 6, 3)
+        np.testing.assert_allclose(q.sum(axis=-1), 1.0, atol=1e-12)
         r = finetune_forward(base, batch, None, regress).data
-        assert r.shape == (6,)
+        assert r.shape == (1, 6)
 
     def test_base_gradients_stay_zero(self):
         vocab, ecdfs, _ = corpus_fixture()
         base = base_fixture(vocab)
         ds = toy_dataset(vocab, n=6)
         batch = pad_batch(dataset_bags(ds, vocab, ecdfs))
-        head = init_finetune_head(np.random.default_rng(4), 8, 0, TASK_BINARY)
+        head = one_head(TASK_BINARY, 4, 8)
         with Tape():
             out = finetune_forward(base, batch, None, head, training=False)
             loss = head_loss(head, out, ds.labels)
@@ -281,29 +286,29 @@ class TestHead:
 
     def test_binary_loss_matches_direct_formula(self):
         rng = np.random.default_rng(5)
-        head = init_finetune_head(rng, 4, 0, TASK_BINARY)
+        head = init_finetune_head([rng], 4, 0, TASK_BINARY)
         z = rng.normal(size=6)
         y = rng.integers(0, 2, size=6).astype(float)
-        got = head_loss(head, TapeTensor(z), y).item()
+        got = head_loss(head, TapeTensor(z[None]), y).item()
         p = 1.0 / (1.0 + np.exp(-z))
         want = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
         assert abs(got - want) < 1e-12
 
     def test_multiclass_loss_matches_loop(self):
         rng = np.random.default_rng(6)
-        head = init_finetune_head(rng, 4, 0, TASK_MULTICLASS, n_classes=3)
+        head = init_finetune_head([rng], 4, 0, TASK_MULTICLASS, n_classes=3)
         z = rng.normal(size=(5, 3))
         y = rng.integers(0, 3, size=5).astype(float)
-        got = head_loss(head, TapeTensor(z), y).item()
+        got = head_loss(head, TapeTensor(z[None]), y).item()
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         want = -np.mean([math.log(p[i, int(y[i])]) for i in range(5)])
         assert abs(got - want) < 1e-12
 
     def test_regression_loss_is_mse(self):
-        head = init_finetune_head(np.random.default_rng(7), 4, 0, TASK_REGRESSION)
+        head = one_head(TASK_REGRESSION, 7, 4)
         z = np.array([0.5, 1.5, -1.0])
         y = np.array([0.0, 1.0, -1.0])
-        assert head_loss(head, TapeTensor(z), y).item() == pytest.approx(
+        assert head_loss(head, TapeTensor(z[None]), y).item() == pytest.approx(
             np.mean((z - y) ** 2))
 
     def test_training_learns_and_is_deterministic(self):
@@ -312,20 +317,20 @@ class TestHead:
         labels = (pooled[:, 0] > 0).astype(float)
         runs = []
         for _ in range(2):
-            head = init_finetune_head(np.random.default_rng(9), 6, 0, TASK_BINARY)
+            head = one_head(TASK_BINARY, 9, 6)
             train_head(head, pooled, None, labels, epochs=60, batch_size=10,
-                       learning_rate=0.01, dropout=0.0, seed=1)
+                       learning_rate=[0.01], dropout=[0.0], seed=[1])
             runs.append([t.data.copy() for t in head.tensors()])
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
-        ce = eval_head(runs and head, pooled, None, labels)
-        assert ce < 0.2
+        ce = eval_head(head, pooled, None, labels)
+        assert ce.shape == (1,) and ce[0] < 0.2
 
     def test_batch_larger_than_train_set_rejected(self):
-        head = init_finetune_head(np.random.default_rng(10), 4, 0, TASK_BINARY)
+        head = one_head(TASK_BINARY, 10, 4)
         with pytest.raises(ConfigError):
             train_head(head, np.zeros((5, 4)), None, np.zeros(5), epochs=1,
-                       batch_size=8, learning_rate=0.01, dropout=0.0, seed=0)
+                       batch_size=8, learning_rate=[0.01], dropout=[0.0], seed=[0])
 
 
 # (learning rate, dropout) per member: two rates and one dropout-0 member.
@@ -345,23 +350,30 @@ def stack_task(task_kind, n=22, seed=30):
     return pooled, extras, labels
 
 
+def member_view(name, t, m):
+    """Member m of a stacked tensor, with a bias as a (fan_out,) vector."""
+    return t.data[m, 0] if name.endswith("_b") else t.data[m]
+
+
 class TestStackedHeads:
     def fresh(self, task_kind, m):
-        return init_finetune_head(np.random.default_rng(40 + m), 6, 2, task_kind, n_classes=3)
+        """Member m alone: a one-member stack."""
+        return one_head(task_kind, 40 + m, 6, n_extra=2, n_classes=3)
 
-    def test_stack_and_unstack_shapes(self):
-        heads = [self.fresh(TASK_MULTICLASS, m) for m in range(3)]
-        stack = stack_heads(heads)
-        assert stack.stacked and not heads[0].stacked
+    def stack(self, task_kind, members):
+        return init_finetune_head([np.random.default_rng(40 + m) for m in range(members)],
+                                  6, 2, task_kind, n_classes=3)
+
+    def test_stack_shapes_and_member_draws(self):
+        stack = self.stack(TASK_MULTICLASS, 3)
+        assert stack.members == 3
         assert stack.by_name["extra_w"].shape == (3, 2, 2)
         assert stack.by_name["dense_b"].shape == (3, 1, 8)
         assert stack.by_name["out_w"].shape == (3, 8, 3)
-        for head, member in zip(heads, unstack_heads(stack)):
-            for a, b in zip(head.tensors(), member.tensors()):
-                np.testing.assert_array_equal(a.data, b.data)
-        member = unstack_heads(stack)[1]
-        member.by_name["dense_w"].data[0, 0] = 7.0
-        assert stack.by_name["dense_w"].data[1, 0, 0] == 7.0
+        for m in range(3):
+            for (name, a), (_, b) in zip(stack.named_tensors(),
+                                         self.fresh(TASK_MULTICLASS, m).named_tensors()):
+                np.testing.assert_array_equal(a.data[m], b.data[0])
 
     @pytest.mark.parametrize("task_kind", [TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION])
     def test_stack_trains_exactly_like_its_members_alone(self, task_kind):
@@ -369,51 +381,76 @@ class TestStackedHeads:
         lrs = [lr for lr, _ in STACK_MEMBERS]
         rates = [rate for _, rate in STACK_MEMBERS]
         seeds = [50 + m for m in range(len(STACK_MEMBERS))]
-        stack = stack_heads([self.fresh(task_kind, m) for m in range(len(STACK_MEMBERS))])
+        stack = self.stack(task_kind, len(STACK_MEMBERS))
         losses = train_head(stack, pooled, extras, labels, epochs=3, batch_size=5,
                             learning_rate=lrs, dropout=rates, seed=seeds)
         assert losses.shape == (len(STACK_MEMBERS),)
-        for m, member in enumerate(unstack_heads(stack)):
+        for m in range(len(STACK_MEMBERS)):
             alone = self.fresh(task_kind, m)
             loss = train_head(alone, pooled, extras, labels, epochs=3, batch_size=5,
-                              learning_rate=lrs[m], dropout=rates[m], seed=seeds[m])
-            assert loss == losses[m]
-            for a, b in zip(member.tensors(), alone.tensors()):
-                np.testing.assert_array_equal(a.data, b.data)
+                              learning_rate=lrs[m:m + 1], dropout=rates[m:m + 1],
+                              seed=seeds[m:m + 1])
+            assert loss[0] == losses[m]
+            for a, b in zip(stack.tensors(), alone.tensors()):
+                np.testing.assert_array_equal(a.data[m], b.data[0])
 
     def test_one_head_matches_a_plain_training_loop(self):
+        """The oracle is the unstacked arithmetic: 2-D matmuls and tape.dropout."""
         pooled, extras, labels = stack_task(TASK_BINARY)
         head = self.fresh(TASK_BINARY, 0)
         train_head(head, pooled, extras, labels, epochs=3, batch_size=5,
-                   learning_rate=0.03, dropout=0.3, seed=7)
-        ref = self.fresh(TASK_BINARY, 0)
+                   learning_rate=[0.03], dropout=[0.3], seed=[7])
+        ref = {name: TapeTensor(member_view(name, t, 0).copy(), trainable=True)
+               for name, t in self.fresh(TASK_BINARY, 0).named_tensors()}
         rng = np.random.default_rng(7)
-        adam = AdamState(ref.tensors(), 0.03)
+        adam = AdamState(list(ref.values()), 0.03)
         for _ in range(3):
             order = rng.permutation(len(labels))
             for start in range(0, len(labels), 5):
                 idx = order[start : start + 5]
-                zero_param_grads(ref.tensors())
+                zero_param_grads(list(ref.values()))
                 with Tape():
-                    logits = head_logits(ref, pooled[idx], extras[idx], training=True,
-                                         rng=rng, dropout=0.3)
-                    backward(head_loss(ref, logits, labels[idx]))
+                    e = tape.relu(tape.matmul(extras[idx], ref["extra_w"]) + ref["extra_b"])
+                    x = tape.concat([pooled[idx], e], axis=-1)
+                    z = tape.relu(tape.matmul(x, ref["dense_w"]) + ref["dense_b"])
+                    z = tape.dropout(z, 0.3, rng, training=True)
+                    logits = tape.matmul(z, ref["out_w"]) + ref["out_b"]
+                    logits = tape.reshape(logits, logits.shape[:-1])
+                    y = labels[idx]
+                    backward(tape.tmean(tape.softplus(logits) - tape.mul(logits, y)))
                 adam_step(adam)
-        for a, b in zip(head.tensors(), ref.tensors()):
-            np.testing.assert_array_equal(a.data, b.data)
+        for name, t in head.named_tensors():
+            np.testing.assert_array_equal(member_view(name, t, 0), ref[name].data)
 
     def test_stacked_loss_sums_member_means(self):
         pooled, extras, labels = stack_task(TASK_MULTICLASS)
-        heads = [self.fresh(TASK_MULTICLASS, m) for m in range(2)]
-        stack = stack_heads(heads)
-        got = head_loss(stack, head_logits(stack, np.stack([pooled, pooled]),
-                                           np.stack([extras, extras])), labels).item()
-        want = sum(head_loss(h, head_logits(h, pooled, extras), labels).item() for h in heads)
+        stack = self.stack(TASK_MULTICLASS, 2)
+        got = head_loss(stack, head_logits(stack, pooled, extras), labels).item()
+        want = sum(head_loss(h, head_logits(h, pooled, extras), labels).item()
+                   for h in (self.fresh(TASK_MULTICLASS, m) for m in range(2)))
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("task_kind", [TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION])
+    def test_eval_scores_each_member_like_a_one_member_stack(self, task_kind):
+        """One forward over a stack equals each member scored alone, bit for bit."""
+        pooled, extras, labels = stack_task(task_kind, n=31)
+        train, held = slice(0, 22), slice(22, 31)     # 9 held-out rows, not a batch multiple
+        stack = self.stack(task_kind, len(STACK_MEMBERS))
+        train_head(stack, pooled[train], extras[train], labels[train], epochs=2, batch_size=5,
+                   learning_rate=[lr for lr, _ in STACK_MEMBERS],
+                   dropout=[rate for _, rate in STACK_MEMBERS], seed=[60, 61, 62])
+        got = eval_head(stack, pooled[held], extras[held], labels[held])
+        assert got.shape == (len(STACK_MEMBERS),)
+        for m in range(len(STACK_MEMBERS)):
+            alone = FinetuneHead(task_kind, {name: TapeTensor(t.data[m : m + 1].copy(),
+                                                              trainable=True)
+                                             for name, t in stack.named_tensors()})
+            (want,) = eval_head(alone, pooled[held], extras[held], labels[held])
+            assert got[m] == want
 
     def test_stack_needs_one_setting_per_member(self):
         pooled, extras, labels = stack_task(TASK_BINARY)
-        stack = stack_heads([self.fresh(TASK_BINARY, m) for m in range(2)])
+        stack = self.stack(TASK_BINARY, 2)
         with pytest.raises(ConfigError, match="2 heads"):
             train_head(stack, pooled, extras, labels, epochs=1, batch_size=5,
                        learning_rate=[0.01], dropout=[0.0, 0.0], seed=[1, 2])

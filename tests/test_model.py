@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from labmlm import model, tape
+from labmlm import corpus, tape
 from labmlm.corpus import Batch, LabBag, mask_bag, pad_batch
 from labmlm.errors import ConfigError, DataError, FormatError, VocabError
 from labmlm.finetune import init_finetune_head
@@ -658,12 +658,14 @@ class TestGoldenInit:
         ("regression", 3, "7d8bb3dd76b61ba7dd17da057734139cc9b3483dbccdcc4942c5d309bab79184"),
     ])
     def test_finetune_head(self, task, n_extra, digest):
-        head = init_finetune_head(np.random.default_rng(4), 8, n_extra, task, n_classes=3,
+        head = init_finetune_head([np.random.default_rng(4)], 8, n_extra, task, n_classes=3,
                                   dtype=np.float64)
         h = hashlib.sha256()
-        for t in head.tensors():
-            h.update(str(t.shape).encode())
-            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        for name, t in head.named_tensors():
+            # the one member, with a bias as the (fan_out,) vector it is drawn as
+            member = t.data[0, 0] if name.endswith("_b") else t.data[0]
+            h.update(str(member.shape).encode())
+            h.update(np.ascontiguousarray(member, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
 
 
@@ -733,10 +735,10 @@ class TestCheckpoints:
         before = path.read_bytes()
 
         class DiskFull:
-            """File whose third write fails, after the header is out."""
+            """File that takes the first half of a write, then fails."""
 
             def __init__(self, fh):
-                self.fh, self.writes = fh, 0
+                self.fh = fh
 
             def __enter__(self):
                 return self
@@ -746,12 +748,11 @@ class TestCheckpoints:
                 return False
 
             def write(self, data):
-                self.writes += 1
-                if self.writes == 3:
-                    raise OSError("no space left on device")
-                return self.fh.write(data)
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
 
-        monkeypatch.setattr(model, "open", lambda p, mode: DiskFull(open(p, mode)),
+        # save_checkpoint writes through corpus.write_atomic
+        monkeypatch.setattr(corpus, "open", lambda p, mode: DiskFull(open(p, mode)),
                             raising=False)
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(path, init_params(tiny_config(), seed=30))

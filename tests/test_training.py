@@ -299,7 +299,6 @@ class TestTrainConfig:
         cfg = TrainConfig(steps=10)
         assert cfg.batch_size == 256
         assert cfg.learning_rate == 1e-5
-        assert cfg.dropout == 0.1
         assert cfg.checkpoint_interval == 14000
 
     def test_validation(self):
@@ -307,21 +306,20 @@ class TestTrainConfig:
             TrainConfig(steps=0)
         with pytest.raises(ConfigError):
             TrainConfig(steps=1, learning_rate=-1e-4)
-        with pytest.raises(ConfigError):
-            TrainConfig(steps=1, dropout=1.5)
 
 
 class TestPretrain:
-    def model_and_bags(self, seed=13):
+    def model_and_bags(self, seed=13, dropout_rate=0.0):
         bags, vocab, _ = small_corpus()
-        cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=1, num_heads=2, ff_dim=16)
+        cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=1, num_heads=2, ff_dim=16,
+                                     dropout_rate=dropout_rate)
         params = init_params(cfg, seed=seed)
         return params, bags, vocab
 
     def test_zero_learning_rate_freezes_parameters(self, tmp_path):
         params, bags, _ = self.model_and_bags()
         before = {n: t.data.copy() for n, t in params.named_tensors()}
-        cfg = TrainConfig(steps=3, batch_size=2, learning_rate=0.0, dropout=0.0, seed=0)
+        cfg = TrainConfig(steps=3, batch_size=2, learning_rate=0.0, seed=0)
         result = pretrain(params, bags[:1], bags[:1], cfg, tmp_path / "run")
         for n, t in params.named_tensors():
             assert np.array_equal(t.data, before[n]), n
@@ -330,7 +328,7 @@ class TestPretrain:
 
     def test_metrics_csv_layout(self, tmp_path):
         params, bags, _ = self.model_and_bags()
-        cfg = TrainConfig(steps=5, batch_size=4, learning_rate=1e-3, dropout=0.0,
+        cfg = TrainConfig(steps=5, batch_size=4, learning_rate=1e-3,
                           seed=1, checkpoint_interval=2)
         result = pretrain(params, bags[:20], bags[20:30], cfg, tmp_path / "run")
         with open(result.metrics_path) as fh:
@@ -347,7 +345,7 @@ class TestPretrain:
 
     def test_checkpoints_written_and_loadable(self, tmp_path):
         params, bags, _ = self.model_and_bags()
-        cfg = TrainConfig(steps=4, batch_size=4, learning_rate=1e-3, dropout=0.0,
+        cfg = TrainConfig(steps=4, batch_size=4, learning_rate=1e-3,
                           seed=2, checkpoint_interval=2)
         result = pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
         names = [os.path.basename(p) for p in result.checkpoints]
@@ -361,7 +359,7 @@ class TestPretrain:
                      checkpoint_interval=10)
         outs = []
         for name in ("a", "b"):
-            params, bags, _ = self.model_and_bags(seed=21)
+            params, bags, _ = self.model_and_bags(seed=21, dropout_rate=0.1)
             result = pretrain(params, bags[:20], bags[20:28],
                               TrainConfig(**cfgkw), tmp_path / name)
             outs.append(open(result.metrics_path, "rb").read())
@@ -369,7 +367,7 @@ class TestPretrain:
 
     def test_training_reduces_loss_on_tiny_corpus(self, tmp_path):
         params, bags, _ = self.model_and_bags()
-        cfg = TrainConfig(steps=60, batch_size=8, learning_rate=3e-3, dropout=0.0,
+        cfg = TrainConfig(steps=60, batch_size=8, learning_rate=3e-3,
                           seed=3, checkpoint_interval=60)
         result = pretrain(params, bags[:60], bags[60:80], cfg, tmp_path / "run")
         val = [r for r in result.history if r[1] == "val"]
@@ -379,7 +377,7 @@ class TestPretrain:
     def test_nonfinite_loss_dumps_batch(self, tmp_path):
         params, bags, _ = self.model_and_bags()
         params.by_name["head_w2"].data *= 1e6
-        cfg = TrainConfig(steps=2, batch_size=8, learning_rate=1e-3, dropout=0.0, seed=4)
+        cfg = TrainConfig(steps=2, batch_size=8, learning_rate=1e-3, seed=4)
         with pytest.raises(NumericError, match="non-finite"):
             pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
         dumps = [f for f in os.listdir(tmp_path / "run") if f.startswith("diagnostic")]
@@ -395,7 +393,7 @@ class TestPretrain:
             params.by_name["block0.ff1_w"].grad[0, 0] = np.inf
 
         monkeypatch.setattr(training, "backward", poisoned)
-        cfg = TrainConfig(steps=2, batch_size=4, learning_rate=1e-3, dropout=0.0, seed=4)
+        cfg = TrainConfig(steps=2, batch_size=4, learning_rate=1e-3, seed=4)
         with pytest.raises(NumericError,
                            match="non-finite gradient in 'block0.ff1_w' at step 1"):
             pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
@@ -419,9 +417,8 @@ class TestPretrain:
 
     def test_caller_config_unchanged(self, tmp_path):
         params, bags, _ = self.model_and_bags()
-        params.config.dropout_rate = 0.25
         before = params.config.to_dict()
-        cfg = TrainConfig(steps=2, batch_size=4, learning_rate=1e-3, dropout=0.0, seed=5)
+        cfg = TrainConfig(steps=2, batch_size=4, learning_rate=1e-3, seed=5)
         result = pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
         assert params.config.to_dict() == before
         # The checkpoint still records the rate the run trained with.
@@ -430,10 +427,9 @@ class TestPretrain:
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_caller_config_unchanged_when_pretrain_raises(self, tmp_path):
         params, bags, _ = self.model_and_bags()
-        params.config.dropout_rate = 0.25
         params.by_name["head_w2"].data *= 1e6
         before = params.config.to_dict()
-        cfg = TrainConfig(steps=2, batch_size=8, learning_rate=1e-3, dropout=0.0, seed=4)
+        cfg = TrainConfig(steps=2, batch_size=8, learning_rate=1e-3, seed=4)
         with pytest.raises(NumericError):
             pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
         assert params.config.to_dict() == before

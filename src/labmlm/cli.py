@@ -44,6 +44,7 @@ from .finetune import (
     fit_linear_baseline,
     grid_search_finetune,
     load_finetune_csv,
+    usable_cpus,
 )
 from .model import ModelConfig, encode, init_params, load_checkpoint
 from .tape import untracked
@@ -96,18 +97,17 @@ def _runtime(dtype) -> dict:
     """What byte-identical reruns depend on besides the inputs and seeds.
 
     With no thread variable set, BLAS sizes its thread pool from the CPUs the
-    process may run on, so that count is recorded too.
+    process may run on, so that count is recorded too; the fine-tune grid
+    sizes its worker pool from the same count.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         blas = {}
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count())
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
             "threads": {var: os.environ.get(var) for var in THREAD_VARS},
-            "cpus": cpus,
+            "cpus": usable_cpus(),
             "dtype": np.dtype(dtype).name}
 
 

@@ -16,7 +16,11 @@ dropout rate and generator, and one untracked forward scores them all. A lone
 head is a one-member stack. The grid search trains the learning-rate x
 dropout cells that share a replicate, a fold, epochs and a batch size as one
 stack; every member ends bit-identical to the same cell trained as a
-one-member stack.
+one-member stack. Each (replicate, fold, stack) unit shares nothing with the
+others but the read-only pooled embeddings, so the units run in a pool of
+forked workers, one per usable CPU, and the rows are bit-identical for any
+CPU count at a fixed BLAS thread count. On Python >= 3.12, forking while
+BLAS threads are running raises a DeprecationWarning.
 
 A head's tensors live in one mapping keyed by the names that
 `init_finetune_head`'s spec declares (`extra_w`, `extra_b`, `dense_w`, ...),
@@ -26,8 +30,10 @@ in spec order, and the forward reads them by name.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -73,6 +79,14 @@ class FinetuneConfig:
         for name in ("epochs_grid", "batch_grid"):
             if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in getattr(self, name)):
                 raise ConfigError(f"{name} must hold integers >= 1, got {getattr(self, name)}")
+        # Checked here, not in train_head: a bad rate would otherwise surface
+        # only after pooling, inside a grid worker.
+        for v in self.lr_grid:
+            if not (np.isfinite(v) and v >= 0):
+                raise ConfigError(f"lr_grid must hold finite rates >= 0, got {v!r}")
+        for v in self.dropout_grid:
+            if not 0 <= v < 1:
+                raise ConfigError(f"dropout_grid must hold rates in [0, 1), got {v!r}")
 
 
 @dataclass
@@ -431,6 +445,62 @@ class GridSearchResult:
     seed: int
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_unit(pooled, extras, labels, cfg, cells, unit) -> list:
+    """Train one grid unit's stack on its fold's training rows; score it on the rest.
+
+    `unit` is (replicate seed, fold ids, held-out fold, the stack's cell
+    indices into `cells`). Returns each member's held-out loss as a Python
+    float, so fold means sum in float64. Pool workers run this, so it stays
+    private and module-level: it pickles by name.
+    """
+    rep_seed, fold, f, members = unit
+    train, test = fold != f, fold == f
+    epochs, batch_size = cells[members[0]][:2]
+    head = init_finetune_head(
+        [np.random.default_rng((rep_seed * 1009 + ci) * 31 + f) for ci in members],
+        pooled.shape[1], 0 if extras is None else extras.shape[1],
+        cfg.task_kind, cfg.n_classes, pooled.dtype)
+    train_head(head, pooled[train], None if extras is None else extras[train],
+               labels[train], epochs=epochs, batch_size=batch_size,
+               learning_rate=[cells[ci][2] for ci in members],
+               dropout=[cells[ci][3] for ci in members],
+               seed=[(rep_seed * 7919 + ci) * 31 + f for ci in members])
+    return eval_head(head, pooled[test], None if extras is None else extras[test],
+                     labels[test]).tolist()
+
+
+def _map_on_cpus(fn, items) -> list:
+    """[fn(item) for item in items], on one forked worker per usable CPU.
+
+    With one usable CPU, one item or no `fork` start method, the items map
+    inline. The pool lives inside the call, so every worker is joined before
+    it returns or raises, and a worker's exception reaches the caller with
+    its type and message. Forked workers inherit the BLAS thread variables,
+    so each result holds the bits a serial call gives at that thread count.
+    """
+    # Imported here, not at module level: the pool machinery adds about 1 MB
+    # of resident memory to every process that never runs a grid.
+    import multiprocessing
+
+    workers = min(usable_cpus(), len(items))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(fn, items, chunksize=1))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecdfs,
                          cfg: FinetuneConfig, k_folds: int = 5, replicates: int = 5,
                          seed: int = 0) -> GridSearchResult:
@@ -443,8 +513,11 @@ def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecd
     share epochs and a batch size train as one stack of heads, and one
     forward scores the whole stack on the held-out rows. Each cell's member
     keeps its own init and training seed, so every row matches training and
-    scoring that cell as a one-member stack. The winner has the lowest mean
-    held-out metric; ties prefer fewer epochs, then a smaller learning rate.
+    scoring that cell as a one-member stack. The (replicate, fold, stack)
+    units share nothing but the pooled embeddings, so they run on the usable
+    CPUs, and the rows are the same bits for any CPU count at a fixed BLAS
+    thread count. The winner has the lowest mean held-out metric; ties
+    prefer fewer epochs, then a smaller learning rate.
     """
     labels = dataset.labels
     _check_labels(labels, cfg.task_kind, cfg.n_classes)
@@ -458,42 +531,28 @@ def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecd
     bags = dataset_bags(dataset, vocab, ecdfs)
     pooled = pool_embeddings(base, bags)
     extras = dataset.extras if dataset.extras.shape[1] else None
-    n_extra = 0 if extras is None else extras.shape[1]
 
     cells = list(itertools.product(cfg.epochs_grid, cfg.batch_grid,
                                    cfg.lr_grid, cfg.dropout_grid))
     stacks = {}     # (epochs, batch size) -> the cells that train as one stack
     for ci, (epochs, batch_size, _, _) in enumerate(cells):
         stacks.setdefault((epochs, batch_size), []).append(ci)
-    per_cell = [[] for _ in cells]
+    units = []
     for rep in range(replicates):
-        rep_seed = seed + rep
-        fold = make_folds(n, k_folds, np.random.default_rng(rep_seed))
-        fold_metrics = [[] for _ in cells]
-        for f in range(k_folds):
-            train_idx = np.flatnonzero(fold != f)
-            test_idx = np.flatnonzero(fold == f)
-            train_pooled, test_pooled = pooled[train_idx], pooled[test_idx]
-            train_extras = None if extras is None else extras[train_idx]
-            test_extras = None if extras is None else extras[test_idx]
-            for (epochs, batch_size), members in stacks.items():
-                head = init_finetune_head(
-                    [np.random.default_rng((rep_seed * 1009 + ci) * 31 + f) for ci in members],
-                    pooled.shape[1], n_extra, cfg.task_kind, cfg.n_classes, pooled.dtype)
-                train_head(head, train_pooled, train_extras, labels[train_idx],
-                           epochs=epochs, batch_size=batch_size,
-                           learning_rate=[cells[ci][2] for ci in members],
-                           dropout=[cells[ci][3] for ci in members],
-                           seed=[(rep_seed * 7919 + ci) * 31 + f for ci in members])
-                # Python floats, so the fold mean below sums in float64
-                losses = eval_head(head, test_pooled, test_extras, labels[test_idx]).tolist()
-                for ci, loss in zip(members, losses):
-                    fold_metrics[ci].append(loss)
-        for ci, metrics in enumerate(fold_metrics):
-            per_cell[ci].append(float(np.mean(metrics)))
+        fold = make_folds(n, k_folds, np.random.default_rng(seed + rep))
+        units += [(seed + rep, fold, f, members)
+                  for f in range(k_folds) for members in stacks.values()]
+    losses = _map_on_cpus(functools.partial(_fit_unit, pooled, extras, labels, cfg, cells),
+                          units)
 
+    held_out = [[] for _ in cells]      # per cell: replicate-major, then fold
+    for (*_, members), unit_losses in zip(units, losses):
+        for ci, loss in zip(members, unit_losses):
+            held_out[ci].append(loss)
     rows = []
-    for (epochs, batch_size, lr, dropout), reps in zip(cells, per_cell):
+    for (epochs, batch_size, lr, dropout), metrics in zip(cells, held_out):
+        reps = [float(np.mean(metrics[start : start + k_folds]))
+                for start in range(0, len(metrics), k_folds)]
         rows.append({"epochs": epochs, "batch_size": batch_size,
                      "learning_rate": lr, "dropout": dropout,
                      "replicate_metrics": reps, "mean": float(np.mean(reps)),

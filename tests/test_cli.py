@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import labmlm
-from labmlm import cli
+from labmlm import cli, finetune
 from labmlm.cli import main
 from labmlm.corpus import (
     LabEvent,
@@ -24,6 +25,7 @@ from labmlm.corpus import (
     write_outcome_csv,
 )
 from labmlm.ecdf import Vocab
+from labmlm.errors import NumericError
 from labmlm.model import load_checkpoint
 
 
@@ -318,6 +320,7 @@ class TestFinetune:
         assert report["runtime"]["dtype"] == "float32"
         assert report["runtime"]["numpy"] == np.__version__
         assert "best cell" in capsys.readouterr().out
+        assert multiprocessing.active_children() == []
 
     def write_task(self, corpus_dir, tmp_path, extras=None, extra_names=()):
         truth = json.loads((corpus_dir / "raw" / "truth.json").read_text())
@@ -359,6 +362,9 @@ class TestFinetune:
         ('{"lr_grid": []}', "lr_grid must be a non-empty list of numbers"),
         ('{"dropout_grid": ["0.1"]}', "dropout_grid must be a non-empty list of numbers"),
         ('{"epochs_grid": [1.5]}', "epochs_grid must hold integers >= 1"),
+        ('{"lr_grid": [-0.001]}', "lr_grid must hold finite rates >= 0, got -0.001"),
+        ('{"lr_grid": [NaN]}', "lr_grid must hold finite rates >= 0, got nan"),
+        ('{"dropout_grid": [1.0]}', "dropout_grid must hold rates in [0, 1), got 1.0"),
     ])
     def test_malformed_grid_is_a_named_error(self, corpus_dir, run_dir, tmp_path, capsys,
                                              text, want):
@@ -366,6 +372,18 @@ class TestFinetune:
         grid.write_text(text)
         self.assert_named_failure(corpus_dir, run_dir, tmp_path, capsys, dataset, grid,
                                   want)
+
+    def test_failing_grid_unit_is_a_named_error(self, corpus_dir, run_dir, tmp_path,
+                                                capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericError("head diverged")
+
+        monkeypatch.setattr(finetune, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(finetune, "train_head", fail)     # forked workers inherit it
+        dataset, grid = self.write_task(corpus_dir, tmp_path)
+        self.assert_named_failure(corpus_dir, run_dir, tmp_path, capsys, dataset, grid,
+                                  "head diverged")
+        assert multiprocessing.active_children() == []
 
     def test_infinite_lab_is_a_named_error(self, corpus_dir, run_dir, tmp_path, capsys):
         dataset, grid = self.write_task(corpus_dir, tmp_path)

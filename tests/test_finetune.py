@@ -3,15 +3,17 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from labmlm import tape
+from labmlm import finetune, tape
 from labmlm.corpus import LabBag, build_bags, generate_synthetic_corpus, pad_batch
 from labmlm.ecdf import build_continuous_vocab, build_ecdf
-from labmlm.errors import ConfigError, DataError
+from labmlm.errors import ConfigError, DataError, NumericError
 from labmlm.finetune import (
     FinetuneConfig,
     FinetuneDataset,
@@ -86,6 +88,17 @@ class TestFinetuneConfig:
                                       dict(batch_grid=(8, -1)), dict(batch_grid=("8",))])
     def test_epochs_and_batch_grids_need_positive_integers(self, grid):
         with pytest.raises(ConfigError, match="must hold integers >= 1"):
+            FinetuneConfig(**grid)
+
+    @pytest.mark.parametrize("grid, want", [
+        (dict(lr_grid=(1e-3, -1e-3)), "lr_grid must hold finite rates >= 0, got -0.001"),
+        (dict(lr_grid=(math.nan,)), "lr_grid must hold finite rates >= 0, got nan"),
+        (dict(lr_grid=(math.inf,)), "lr_grid must hold finite rates >= 0, got inf"),
+        (dict(dropout_grid=(1.0,)), r"dropout_grid must hold rates in \[0, 1\), got 1.0"),
+        (dict(dropout_grid=(0.1, -0.2)), r"dropout_grid must hold rates in \[0, 1\), got -0.2"),
+    ])
+    def test_rates_out_of_range_are_rejected_up_front(self, grid, want):
+        with pytest.raises(ConfigError, match=want):
             FinetuneConfig(**grid)
 
 
@@ -564,15 +577,38 @@ GOLDEN_ROWS = {
 
 
 @pytest.mark.parametrize("task_kind", [TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION])
-def test_golden_grid_rows(task_kind):
-    """Unequal folds (23 rows, k=5), a dropout-0 cell, two extras, two stacks."""
+def test_golden_grid_rows(task_kind, monkeypatch):
+    """Unequal folds (23 rows, k=5), a dropout-0 cell, two extras, two stacks.
+
+    The 20 units run inline with one usable CPU and in a pool of two forked
+    workers with two; both give the same bits, and no worker outlives the call.
+    """
     vocab, ecdfs, _ = corpus_fixture()
     base = base_fixture(vocab, dtype=np.float64)
     cfg = FinetuneConfig(task_kind=task_kind, n_classes=3, epochs_grid=(3,),
                          batch_grid=(5, 8), lr_grid=(0.01, 0.05), dropout_grid=(0.0, 0.4))
-    result = grid_search_finetune(base, golden_dataset(vocab, task_kind), vocab, ecdfs,
-                                  cfg, k_folds=5, replicates=2, seed=4)
-    assert [r["replicate_metrics"] for r in result.rows] == GOLDEN_ROWS[task_kind]
+    for cpus in (1, 2):
+        monkeypatch.setattr(finetune, "usable_cpus", lambda: cpus)
+        result = grid_search_finetune(base, golden_dataset(vocab, task_kind), vocab, ecdfs,
+                                      cfg, k_folds=5, replicates=2, seed=4)
+        assert [r["replicate_metrics"] for r in result.rows] == GOLDEN_ROWS[task_kind], cpus
+        assert multiprocessing.active_children() == []
+
+
+def test_grid_unit_error_reaches_the_caller(monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericError(f"unit failed in process {os.getpid()}")
+
+    monkeypatch.setattr(finetune, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(finetune, "train_head", fail)     # forked workers inherit it
+    vocab, ecdfs, _ = corpus_fixture()
+    cfg = FinetuneConfig(task_kind=TASK_BINARY, epochs_grid=(2,), batch_grid=(4, 8),
+                         lr_grid=(0.01,), dropout_grid=(0.0,))
+    with pytest.raises(NumericError, match="unit failed in process") as info:
+        grid_search_finetune(base_fixture(vocab), toy_dataset(vocab, n=20), vocab, ecdfs,
+                             cfg, k_folds=2, replicates=2)
+    assert int(str(info.value).split()[-1]) != os.getpid()    # raised in a worker
+    assert multiprocessing.active_children() == []
 
 
 class TestLabelValidation:

@@ -2,9 +2,12 @@
 
 No positional information anywhere: the layer is permutation-equivariant over
 the length axis, which is what lets the models treat inputs as bags. Padded
-key positions get an additive -1e9 logit before the softmax (their weights
-underflow to exactly zero in float32 and float64 alike; the bias takes the
-scores' dtype); padded query rows are zeroed on output.
+key positions get an additive `tape.PAD_LOGIT` (-1e9) before the softmax
+(their weights underflow to exactly zero in float32 and float64 alike; the
+bias takes the scores' dtype); padded query rows are zeroed on output.
+
+The layer records the four projections, one `tape.attention` node for the
+heads and, when the batch has padding, the output pad mask: six tape nodes.
 
 The layer's parameters are a mapping from `attention_spec` name (`wq` ... `bo`)
 to tensor; a model block passes its own `attn.` entries under those names.
@@ -16,8 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from . import tape
-
-PAD_LOGIT = -1e9
 
 
 def attention_spec(d_model: int, num_heads: int, key_dim: int) -> list:
@@ -53,22 +54,10 @@ def multi_head_attention(
             f"input feature size {d_model} does not match projection {params['wq'].shape}"
         )
 
-    def split_heads(t):
-        t = tape.reshape(t, (b, length, num_heads, key_dim))
-        return tape.swapaxes(t, 1, 2)
-
-    q = split_heads(tape.linear(x, params["wq"], params["bq"]))
-    k = split_heads(tape.linear(x, params["wk"], params["bk"]))
-    v = split_heads(tape.linear(x, params["wv"], params["bv"]))
-
-    scores = tape.matmul(q, tape.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(key_dim))
-    if pad_mask is not None and pad_mask.any():
-        bias = np.where(pad_mask, PAD_LOGIT, 0.0)[:, None, None, :]
-        scores = scores + bias
-    weights = tape.softmax(scores, axis=-1)
-
-    ctx = tape.matmul(weights, v)
-    ctx = tape.reshape(tape.swapaxes(ctx, 1, 2), (b, length, num_heads * key_dim))
+    q = tape.linear(x, params["wq"], params["bq"])
+    k = tape.linear(x, params["wk"], params["bk"])
+    v = tape.linear(x, params["wv"], params["bv"])
+    ctx = tape.attention(q, k, v, pad_mask, num_heads, key_dim)
     out = tape.linear(ctx, params["wo"], params["bo"])
     if pad_mask is not None and pad_mask.any():
         out = out * (~pad_mask).astype(out.data.dtype)[:, :, None]

@@ -22,10 +22,15 @@ Initialization, counting, `named_tensors` and the checkpoint checks all derive
 from the spec, so old checkpoints keep loading and a seed keeps drawing the
 same weights.
 
+`forward_continuous` and `forward_decile` return every position's outputs.
+Training, validation and imputation read only the masked positions, so they
+call `forward_masked`, which gathers each mask's canonical backbone row and
+runs the heads on those rows alone.
+
 A model's dtype is its tensors' dtype: float32 by default, float64 on request
-(`init_params(..., dtype=np.float64)`), and whatever a checkpoint stores. The
-forwards wrap a batch's values in it; the tape casts every other numpy
-constant they meet (truths, masks, the pad bias) to it.
+(`init_params(..., dtype=np.float64)`), and whatever a checkpoint stores. A
+batch's values enter as a constant cast to it; the tape casts every other
+numpy constant the forwards meet (truths, masks, the pad bias) to it too.
 """
 
 from __future__ import annotations
@@ -205,16 +210,16 @@ def continuous_embed(values, token_embeddings, null_flags: np.ndarray,
     """Value channel added to token embeddings, then ReLU dense and layer norm.
 
     values [b, L] must lie in [0,1] wherever null_flags is false (nulls, masks
-    and pads all carry 0.0, the uninformative point of the eCDF scale).
+    and pads all carry 0.0, the uninformative point of the eCDF scale). They
+    are a constant in the model's dtype: no gradient flows back to them.
     """
-    vals_data = values.data if isinstance(values, TapeTensor) else np.asarray(values, dtype=float)
-    live = ~np.asarray(null_flags)
-    if vals_data[live].size and (vals_data[live].min() < 0.0 or vals_data[live].max() > 1.0):
+    vals = np.asarray(values.data if isinstance(values, TapeTensor) else values,
+                      dtype=params.dtype)
+    live = vals[~np.asarray(null_flags)]
+    if live.size and (live.min() < 0.0 or live.max() > 1.0):
         raise DataError("value outside [0, 1] at a non-null position")
-    if not isinstance(values, TapeTensor):
-        values = TapeTensor(vals_data.astype(params.dtype, copy=False))
     p = params.by_name
-    proj = tape.linear(tape.reshape(values, (*vals_data.shape, 1)), p["value_w"], p["value_b"])
+    proj = tape.linear(vals.reshape(*vals.shape, 1), p["value_w"], p["value_b"])
     x = proj + token_embeddings
     x = tape.relu(tape.linear(x, p["vdense_w"], p["vdense_b"]))
     return tape.layer_norm(x, p["vln_gain"], p["vln_bias"])
@@ -275,19 +280,16 @@ def _encode_canonical(params: ModelParams, batch: Batch, training: bool = False,
     bit-exact; callers undo the sort with `inv` as their last step.
     """
     cfg = params.config
-    vals_data = batch.values.data if isinstance(batch.values, TapeTensor) else batch.values
-    perm, inv = _canonical_perm(batch.tokens, vals_data, batch.null_flags, batch.pad_mask)
+    perm, inv = _canonical_perm(batch.tokens, batch.values, batch.null_flags, batch.pad_mask)
     rows = np.arange(batch.tokens.shape[0])[:, None]
     tokens = batch.tokens[rows, perm]
     nulls = batch.null_flags[rows, perm]
     pad = batch.pad_mask[rows, perm]
-    values = tape.permute_l(batch.values if isinstance(batch.values, TapeTensor)
-                            else TapeTensor(np.asarray(batch.values, dtype=params.dtype)), perm)
 
     if cfg.mode == MODE_CONTINUOUS:
         lookup = np.where(nulls, cfg.null_token, tokens)
         tok_emb = categorical_embed(lookup, params)
-        x = continuous_embed(values, tok_emb, nulls, params)
+        x = continuous_embed(batch.values[rows, perm], tok_emb, nulls, params)
     else:
         x = categorical_embed(tokens, params)
 
@@ -317,6 +319,24 @@ def forward_decile(params: ModelParams, batch: Batch, training: bool = False, rn
         raise ConfigError(f"forward_decile needs a decile model, got {params.config.mode}")
     h, inv = _encode_canonical(params, batch, training, rng)
     return tape.permute_l(categorical_head(h, params), inv)
+
+
+def forward_masked(params: ModelParams, batch: Batch, training: bool = False, rng=None):
+    """Head outputs at the batch's masked positions only: (probs [m, C or V], preds).
+
+    Row n is position (mask_rows[n], mask_cols[n]). preds [m] holds the
+    continuous model's value predictions and is None for a decile model. The
+    heads run on those m backbone rows alone, which is all the losses and the
+    imputation report read; the rows equal the full forwards' outputs at the
+    same positions up to rounding, since a GEMM over m rows may round
+    differently from one over every position.
+    """
+    h, inv = _encode_canonical(params, batch, training, rng)
+    rows = tape.take_bl(h, batch.mask_rows, inv[batch.mask_rows, batch.mask_cols])
+    probs = categorical_head(rows, params)
+    if params.config.mode == MODE_CONTINUOUS:
+        return probs, continuous_head(rows, probs, params)
+    return probs, None
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,16 @@ every op appends a backward closure to it; ``backward(loss)`` replays the tape
 in reverse and accumulates gradients into each input tensor's ``.grad``. Ops
 executed with no active tape run untracked, which is the inference path.
 
-Dense layers and layer norms are fused primitives, one node each.
+Dense layers, layer norms and attention are fused primitives, one node each.
 ``linear(x, w, b)`` takes its weight gradient as one 2-D GEMM over the rows
-of ``x``; ``layer_norm`` has the analytic backward (Ba et al. 2016) and keeps
-the forward op sequence of the composite it replaced, bit for bit. The four
-gathers share one fancy-index forward and one ``np.add.at`` backward.
+of ``x``; ``layer_norm`` has the analytic backward (Ba et al. 2016), and
+``attention`` does split heads, scores, scale, pad bias, softmax, context and
+merge with the analytic softmax backward (Vaswani et al. 2017). Each keeps the
+forward op sequence of the composite it replaced, so its outputs are the same
+bits. An attention layer records six nodes where the composite recorded 19,
+and a training step at the acceptance config (d_model 64, 4 layers, batch
+32) records 88 nodes (continuous) or 72 (decile), down from 145 and 126. The
+four gathers share one fancy-index forward and one ``np.add.at`` backward.
 
 A tensor's first gradient is written into a fresh buffer laid out like
 ``t.data`` (a gradient in another layout would reach later GEMMs in that
@@ -42,6 +47,10 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError, NumericError, VocabError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+# Additive score bias of a padded key; its softmax weight underflows to exactly
+# zero in float32 and float64 alike.
+PAD_LOGIT = -1e9
 
 
 def _as_float(data) -> np.ndarray:
@@ -422,6 +431,56 @@ def softmax(a, axis: int = -1) -> TapeTensor:
         def bwd(g):
             gy = g * y
             _accumulate(a, gy - y * gy.sum(axis=axis, keepdims=True))
+
+        tape._add(out, bwd)
+    return out
+
+
+def attention(q, k, v, pad_mask, num_heads: int, key_dim: int) -> TapeTensor:
+    """softmax(q k^T / sqrt(key_dim) + pad bias) v per head, as one node.
+
+    q, k and v are [b, L, num_heads * key_dim]; the heads are split from the
+    last axis and merged back into it, so the output has the same shape.
+    pad_mask [b, L] marks padded keys with True (None or all False: no bias).
+    The forward runs the op sequence of the composite it replaced (split
+    heads, scores, scale, pad bias, softmax, context, merge), so its bits are
+    the same; the backward is the analytic softmax one.
+    """
+    dq, dk, dv = _operands(q, k, v)
+    if not (dq.ndim == 3 and dq.shape == dk.shape == dv.shape
+            and dq.shape[-1] == num_heads * key_dim):
+        raise DimensionError(f"attention needs q, k, v of one shape [b, L, {num_heads} * "
+                             f"{key_dim}], got {dq.shape}, {dk.shape}, {dv.shape}")
+    b, length, width = dq.shape
+    split = (b, length, num_heads, key_dim)
+    qh, kh, vh = (d.reshape(split).swapaxes(1, 2) for d in (dq, dk, dv))
+    scale = np.asarray(1.0 / np.sqrt(key_dim), dtype=dq.dtype)
+    y = qh @ kh.swapaxes(-1, -2)
+    y *= scale
+    if pad_mask is not None and pad_mask.any():
+        y += np.where(pad_mask, PAD_LOGIT, 0.0).astype(dq.dtype)[:, None, None, :]
+    if not np.all(np.isfinite(y)):
+        raise NumericError("attention scores contain non-finite values")
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = TapeTensor((y @ vh).swapaxes(1, 2).reshape(b, length, width))
+    tape = _active_tape()
+    if tape is not None:
+
+        def bwd(g):
+            # contiguous, as the composite's first-write gradient was: BLAS
+            # rounds a GEMM by its operands' layout
+            gc = np.ascontiguousarray(g.reshape(split).swapaxes(1, 2))
+            gv = y.swapaxes(-1, -2) @ gc
+            gs = gc @ vh.swapaxes(-1, -2)
+            gs *= y
+            gs -= np.multiply(y, gs.sum(axis=-1, keepdims=True), out=y)   # y's last read
+            gs *= scale
+            _accumulate(q, (gs @ kh).swapaxes(1, 2).reshape(b, length, width))
+            _accumulate(k, (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).swapaxes(1, 2)
+                        .reshape(b, length, width))
+            _accumulate(v, gv.swapaxes(1, 2).reshape(b, length, width))
 
         tape._add(out, bwd)
     return out

@@ -3,7 +3,9 @@
 The continuous model trains on the sum of a cross-entropy over masked code
 identities and a mean-squared error over masked values; the decile baseline
 trains on cross-entropy alone. Both losses read only masked positions, so
-supervision never leaks from unmasked inputs except through the network.
+supervision never leaks from unmasked inputs except through the network; the
+loop, validation and imputation therefore run the heads on the masked rows
+alone (`model.forward_masked`).
 
 Imputation evaluation masks one valued position per test bag, predicts it,
 and reports Pearson correlations globally and per code. Decile predictions
@@ -24,14 +26,8 @@ from . import tape
 from .corpus import Batch, mask_bag, pad_batch, unmask_bag
 from .ecdf import MODE_CONTINUOUS, MODE_DECILE, Vocab
 from .errors import ConfigError, ContractError, DecodeError, NumericError, VocabError
-from .model import (
-    ModelParams,
-    forward_continuous,
-    forward_decile,
-    init_params,
-    save_checkpoint,
-)
-from .optim import AdamState, adam_step, zero_param_grads
+from .model import ModelParams, forward_masked, init_params, save_checkpoint
+from .optim import AdamState, adam_step, gather_grads, zero_param_grads
 from .tape import Tape, TapeTensor, backward, untracked
 
 DECODE_CONTINUOUS = "continuous"
@@ -59,6 +55,8 @@ class TrainConfig:
             raise ConfigError("batch_size, mask_count, checkpoint_interval must be >= 1")
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.val_batches is not None and self.val_batches < 1:
+            raise ConfigError(f"val_batches must be >= 1 or None, got {self.val_batches}")
 
 
 @dataclass
@@ -71,13 +69,18 @@ class LossParts:
 def multitask_loss(code_probs, value_preds, batch: Batch) -> LossParts:
     """CE over masked code identities plus MSE over masked non-null values.
 
-    Both terms are means over their contributing positions; a batch whose
-    masked truths are all null has MSE exactly 0.
+    The outputs are the masked rows, code_probs [m, C] and value_preds [m]
+    with row n for mask n, as `forward_masked` returns them; every position's
+    outputs ([b, L, C] and [b, L]) are gathered at the masks first. Both terms
+    are means over their contributing positions; a batch whose masked truths
+    are all null has MSE exactly 0.
     """
     ce = _masked_ce(code_probs, batch, "multitask_loss")
     live = ~batch.truth_nulls
     if live.any():
-        preds = tape.take_bl(value_preds, batch.mask_rows[live], batch.mask_cols[live])
+        preds = _at_masks(value_preds, batch, 1)
+        if not live.all():
+            preds = tape.embedding_lookup(preds, np.flatnonzero(live))   # a row gather
         diff = preds - batch.truth_values[live]
         mse = tape.tmean(tape.mul(diff, diff))
     else:
@@ -86,20 +89,31 @@ def multitask_loss(code_probs, value_preds, batch: Batch) -> LossParts:
 
 
 def decile_mlm_loss(token_probs, batch: Batch) -> TapeTensor:
-    """CE over masked token identities in the decile vocabulary."""
+    """CE over masked token identities in the decile vocabulary.
+
+    token_probs are the masked rows [m, V], or every position's [b, L, V].
+    """
     return _masked_ce(token_probs, batch, "decile_mlm_loss")
+
+
+def _at_masks(out, batch: Batch, row_ndim: int):
+    """`out` as one row per mask: masked rows as given, [b, L, ...] gathered."""
+    if out.ndim == row_ndim + 1:
+        return tape.take_bl(out, batch.mask_rows, batch.mask_cols)
+    if out.ndim != row_ndim or out.shape[0] != len(batch.mask_rows):
+        raise ContractError(f"outputs of shape {out.shape} are neither one row per mask "
+                            f"({len(batch.mask_rows)}) nor the batch's {batch.tokens.shape}")
+    return out
 
 
 def _masked_ce(probs, batch: Batch, loss_name: str) -> TapeTensor:
     """-mean log p of each masked position's truth token; token t is column t - 1."""
-    rows, cols = batch.mask_rows, batch.mask_cols
-    if len(rows) == 0:
+    if len(batch.mask_rows) == 0:
         raise ContractError(f"{loss_name} needs at least one masked position")
     width = probs.shape[-1]
     if batch.truth_tokens.min() < 1 or batch.truth_tokens.max() > width:
         raise VocabError(f"masked truth token outside [1, {width}]")
-    p_rows = tape.take_bl(probs, rows, cols)
-    p_true = tape.take_along_last(p_rows, batch.truth_tokens - 1)
+    p_true = tape.take_along_last(_at_masks(probs, batch, 2), batch.truth_tokens - 1)
     return tape.neg(tape.tmean(tape.log(p_true)))
 
 
@@ -133,21 +147,41 @@ class PretrainResult:
     metrics_path: str
 
 
-def _ensure_masked(bags, mask_token, rng, mask_count):
-    out = []
-    for bag in bags:
-        if len(bag.mask_positions):
-            out.append(bag)
-        else:
-            out.append(mask_bag(bag, mask_token, rng, n_mask=min(mask_count, len(bag))))
-    return out
+def _draw_masks(bags, mask_token, rng, mask_count):
+    """(bags, pos): where each bag gets its masks, drawn in bag order.
+
+    A bag that arrives masked keeps its masks. With mask_count 1, one
+    `rng.integers(0, lengths)` call draws a position for every other bag; it
+    gives the same positions, and leaves rng in the same state, as one
+    `rng.choice(L, 1, replace=False)` per bag, and `_masked` builds a masked
+    bag only when a batch draws it. With mask_count > 1 each of those bags is
+    masked here, one `mask_bag` draw per bag. pos is -1 for a bag that needs
+    no further masking.
+    """
+    pos = np.full(len(bags), -1, dtype=np.int64)
+    todo = [i for i, bag in enumerate(bags) if not len(bag.mask_positions)]
+    if mask_count > 1:
+        bags = list(bags)
+        for i in todo:
+            bags[i] = mask_bag(bags[i], mask_token, rng, n_mask=min(mask_count, len(bags[i])))
+        return bags, pos
+    lengths = np.array([len(bags[i]) for i in todo], dtype=np.int64)
+    if lengths.size and lengths.min() < 1:
+        raise ContractError("cannot mask an empty bag")
+    pos[todo] = rng.integers(0, lengths)
+    return bags, pos
+
+
+def _masked(bags, pos, idx, mask_token):
+    """The bags at `idx`, each masked where `_draw_masks` put it."""
+    return [bags[i] if pos[i] < 0 else mask_bag(bags[i], mask_token, None, positions=[pos[i]])
+            for i in idx]
 
 
 def _forward_and_loss(params, batch, training, rng):
+    probs, preds = forward_masked(params, batch, training=training, rng=rng)
     if params.config.mode == MODE_CONTINUOUS:
-        probs, preds = forward_continuous(params, batch, training=training, rng=rng)
         return multitask_loss(probs, preds, batch)
-    probs = forward_decile(params, batch, training=training, rng=rng)
     ce = decile_mlm_loss(probs, batch)
     return LossParts(ce, ce, TapeTensor(np.full((), np.nan, dtype=ce.data.dtype)))
 
@@ -191,6 +225,7 @@ def _first_nonfinite_grad(named):
 
     One sum per tensor; a tensor whose sum is not finite is then scanned
     element by element, since large finite float32 values can overflow a sum.
+    `pretrain` runs this scan only when the sum of all gradients is not finite.
     """
     with np.errstate(over="ignore"):
         for name, t in named:
@@ -235,8 +270,13 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
 
     rng = np.random.default_rng(config.seed)
     mask_token = params.config.mask_token
-    train_bags = _ensure_masked(train_bags, mask_token, rng, config.mask_count)
-    val_bags = _ensure_masked(val_bags, mask_token, rng, config.mask_count)
+    train_bags, train_pos = _draw_masks(train_bags, mask_token, rng, config.mask_count)
+    val_bags, val_pos = _draw_masks(val_bags, mask_token, rng, config.mask_count)
+    # Validation reads the same leading bags every time: mask them once.
+    n_val = len(val_bags)
+    if config.val_batches is not None:
+        n_val = min(n_val, config.val_batches * config.batch_size)
+    val_bags = _masked(val_bags, val_pos, range(n_val), mask_token)
 
     trainables = params.tensors()
     adam = AdamState(trainables, config.learning_rate)
@@ -254,10 +294,11 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
     pending = []
     for step in range(1, config.steps + 1):
         idx = rng.integers(0, len(train_bags), size=config.batch_size)
-        drawn = [train_bags[i] for i in idx]
         if config.remask:
-            drawn = [mask_bag(unmask_bag(b), mask_token, rng,
-                              n_mask=min(config.mask_count, len(b))) for b in drawn]
+            drawn = [mask_bag(unmask_bag(train_bags[i]), mask_token, rng,
+                              n_mask=min(config.mask_count, len(train_bags[i]))) for i in idx]
+        else:
+            drawn = _masked(train_bags, train_pos, idx, mask_token)
         batch = pad_batch(drawn)
 
         zero_param_grads(trainables)
@@ -268,11 +309,14 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
                 _abort_step(f"non-finite loss {total}", step, batch, out_dir,
                             metrics_path, pending)
             backward(parts.total)
-        bad = _first_nonfinite_grad(params.named_tensors())
+        grads = gather_grads(adam)
+        with np.errstate(over="ignore"):
+            finite = math.isfinite(grads.sum())
+        bad = None if finite else _first_nonfinite_grad(params.named_tensors())
         if bad is not None:
             _abort_step(f"non-finite gradient in {bad!r}", step, batch, out_dir,
                         metrics_path, pending)
-        adam_step(adam)
+        adam_step(adam, grads)
 
         ce = parts.ce.item()
         row = (step, "train", ce, parts.mse.item(), perplexity(ce))
@@ -321,6 +365,40 @@ def argmax_decode(probs_row, code, vocab: Vocab) -> float:
     return float(np.argmax(w)) / 10.0
 
 
+def _imputation_targets(bags, vocab: Vocab, seed: int) -> list:
+    """(bag, position) for each bag with a valued position: the bag unmasked, the one to mask.
+
+    A decile bag's candidates are its decile tokens; binary tokens decode to
+    no value. One `rng.integers` call draws every position: the same ones, and
+    the same generator state after, as one `rng.choice(candidates)` per bag.
+    """
+    bags = [unmask_bag(bag) if len(bag.mask_positions) else bag for bag in bags]
+    numeric = _numeric_tokens(vocab, bags) if vocab.mode == MODE_DECILE else None
+    kept, candidates = [], []
+    for bag in bags:
+        live = ~bag.null_flags
+        if numeric is not None:
+            live &= numeric[bag.tokens]
+        if live.any():
+            kept.append(bag)
+            candidates.append(np.flatnonzero(live))
+    if not kept:
+        raise ContractError("no bag has a non-null value to impute")
+    draws = np.random.default_rng(seed).integers(0, [len(c) for c in candidates])
+    return [(bag, c[d]) for bag, c, d in zip(kept, candidates, draws)]
+
+
+def _numeric_tokens(vocab: Vocab, bags) -> np.ndarray:
+    """Lookup by decile token id: does the token's code decode to a value?
+
+    A token of the bags that maps to no code raises VocabError.
+    """
+    tokens = np.unique(np.concatenate([bag.tokens for bag in bags]))
+    numeric = np.zeros(max(int(tokens.max()), vocab.vocab_size) + 1, dtype=bool)
+    numeric[tokens] = [vocab.is_numeric(vocab.code_for_token(t)) for t in tokens]
+    return numeric
+
+
 @dataclass
 class ImputationReport:
     r: float
@@ -361,38 +439,19 @@ def evaluate_imputation(params: ModelParams, bags, vocab: Vocab, decode: str,
     if ablation:
         params = init_params(params.config, seed=seed, dtype=params.dtype)
 
-    rng = np.random.default_rng(seed)
-    prepared = []
-    for bag in bags:
-        if len(bag.mask_positions):
-            bag = unmask_bag(bag)
-        candidates = np.flatnonzero(~bag.null_flags)
-        if mode == MODE_DECILE:
-            # only decile tokens decode to a value; binary tokens do not
-            numeric = [p for p in candidates
-                       if vocab.is_numeric(vocab.code_for_token(bag.tokens[p]))]
-            candidates = np.asarray(numeric, dtype=np.int64)
-        if len(candidates) == 0:
-            continue
-        pos = int(rng.choice(candidates))
-        prepared.append(mask_bag(bag, vocab.mask_token, rng, positions=[pos]))
-    if not prepared:
-        raise ContractError("no bag has a non-null value to impute")
-
+    targets = _imputation_targets(bags, vocab, seed)
     codes, truths, preds = [], [], []
     with untracked():
-        for start in range(0, len(prepared), batch_size):
-            batch = pad_batch(prepared[start : start + batch_size])
+        for start in range(0, len(targets), batch_size):
+            batch = pad_batch([mask_bag(bag, vocab.mask_token, None, positions=[pos])
+                               for bag, pos in targets[start : start + batch_size]])
+            probs, value_preds = forward_masked(params, batch)
+            code_ids = [vocab.code_for_token(t) for t in batch.truth_tokens]
             if mode == MODE_CONTINUOUS:
-                _, value_preds = forward_continuous(params, batch, training=False)
-                got = value_preds.data[batch.mask_rows, batch.mask_cols]
-                code_ids = [vocab.code_for_token(t) for t in batch.truth_tokens]
+                got = value_preds.data
             else:
-                probs = forward_decile(params, batch, training=False)
-                rows = probs.data[batch.mask_rows, batch.mask_cols]
-                code_ids = [vocab.code_for_token(t) for t in batch.truth_tokens]
                 fn = weighted_quantile_decode if decode == DECODE_WEIGHTED else argmax_decode
-                got = [fn(row, code, vocab) for row, code in zip(rows, code_ids)]
+                got = [fn(row, code, vocab) for row, code in zip(probs.data, code_ids)]
             codes.extend(code_ids)
             truths.extend(batch.truth_values.tolist())
             preds.extend(np.asarray(got, dtype=float).tolist())

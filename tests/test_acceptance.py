@@ -156,6 +156,14 @@ def _op_cases(rng):
     ids = rng.integers(0, 16, size=3)
     w = rng.normal(size=(2, 6, 16))
     w2 = rng.normal(size=(3, 16))
+    # attention over 2 heads of 8: bag 0 has two padded positions, bag 1 is all
+    # padding. As in the layer, padded query rows are zeroed on output: their
+    # scores sit near the -1e9 pad bias, where central differences are noise.
+    qkv = [TapeTensor(rng.normal(size=(2, 6, 16))) for _ in range(3)]
+    pad = np.zeros((2, 6), dtype=bool)
+    pad[0, 4:] = True
+    pad[1] = True
+    w_live = w * ~pad[:, :, None]
     return [
         ("arithmetic", lambda: tape.tsum((a + b) * a - b / pos), [a, b, pos]),
         ("matmul", lambda: tape.tsum(tape.matmul(m1, m2)), [m1, m2]),
@@ -181,6 +189,8 @@ def _op_cases(rng):
         ("take_along_last", lambda: tape.tsum(tape.take_along_last(x2, ids)), [x2]),
         ("layer_norm", lambda: tape.tsum(tape.mul(
             tape.layer_norm(a, gain, bias), w)), [a, gain, bias]),
+        ("attention", lambda: tape.tsum(tape.mul(tape.attention(*qkv, pad, 2, 8), w_live)),
+         qkv),
         ("dropout", lambda: tape.tsum(tape.dropout(
             a, 0.3, np.random.default_rng(7), training=True)), [a]),
     ]

@@ -34,6 +34,41 @@ def _loop_oracle(x, p, num_heads, key_dim, pad_mask=None):
     return out
 
 
+def _composite_oracle(x, p, num_heads, key_dim, pad_mask):
+    """The op sequence attention ran as separate tape ops, in numpy."""
+    b, L, _ = x.shape
+    dtype = x.dtype
+
+    def split(w, bias):
+        return (x @ p[w].data + p[bias].data).reshape(b, L, num_heads, key_dim).swapaxes(1, 2)
+
+    q, k, v = split("wq", "bq"), split("wk", "bk"), split("wv", "bv")
+    scores = (q @ k.swapaxes(-1, -2)) * np.asarray(1.0 / np.sqrt(key_dim), dtype=dtype)
+    if pad_mask.any():
+        scores = scores + np.where(pad_mask, -1e9, 0.0).astype(dtype)[:, None, None, :]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    ctx = (w @ v).swapaxes(1, 2).reshape(b, L, num_heads * key_dim)
+    out = ctx @ p["wo"].data + p["bo"].data
+    if pad_mask.any():
+        out = out * (~pad_mask).astype(dtype)[:, :, None]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, L, d, h, k", [(32, 5, 64, 2, 64), (32, 5, 64, 2, 32), (3, 6, 8, 2, 4)])
+def test_forward_bit_identical_to_composite_oracle(dtype, b, L, d, h, k):
+    rng = np.random.default_rng(b + L + k)
+    p = init_tensors(rng, attention_spec(d, h, k), dtype)
+    x = rng.normal(size=(b, L, d)).astype(dtype)
+    pad = np.arange(L) >= rng.integers(1, L + 1, size=b)[:, None]
+    pad[1] = True                      # one fully padded row
+    for mask in (pad, np.zeros_like(pad)):
+        got = multi_head_attention(TapeTensor(x), p, h, k, mask).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, _composite_oracle(x, p, h, k, mask))
+
+
 def test_single_element_bag_reduces_to_value_path():
     """With L=1 the softmax weight is 1, so output = Wo(Wv x + bv) + bo."""
     rng = np.random.default_rng(0)

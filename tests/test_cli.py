@@ -253,6 +253,18 @@ class TestPretrain:
                    "--out", tmp_path / "run") == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_val_batches_below_one_is_a_named_error(self, corpus_dir, tmp_path, capsys, how):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"val_batches": 0}))
+        args = ["--val-batches", 0] if how == "flag" else ["--config", cfg]
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run("pretrain", "--data", corpus_dir / "pp", *args, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "val_batches" in err[0], err
+        assert not out.exists()
+
     def test_config_json_records_runtime(self, run_dir):
         resolved = json.loads((run_dir / "config.json").read_text())
         runtime = resolved["runtime"]

@@ -28,6 +28,7 @@ from labmlm.model import (
     count_params_instance,
     forward_continuous,
     forward_decile,
+    forward_masked,
     init_params,
     load_checkpoint,
     param_spec,
@@ -439,6 +440,51 @@ class TestForwards:
         c = forward_continuous(params, batch, training=True,
                                rng=np.random.default_rng(0))[1].data
         assert not np.array_equal(a, c)
+
+
+class TestForwardMasked:
+    """Heads on the masked rows agree with the full forwards at those rows."""
+
+    @staticmethod
+    def _loss_and_grads(params, batch, full):
+        for t in params.tensors():
+            t.grad = None
+        cont = params.config.mode == "continuous"
+        with Tape():
+            if full:
+                outs = (forward_continuous(params, batch) if cont
+                        else (forward_decile(params, batch), None))
+            else:
+                outs = forward_masked(params, batch)
+            loss = (multitask_loss(*outs, batch).total if cont
+                    else decile_mlm_loss(outs[0], batch))
+        backward(loss)
+        return outs, loss.item(), {n: t.grad for n, t in params.named_tensors()}
+
+    @pytest.mark.parametrize("mode, vocab_size", [("continuous", 12), ("decile", 23)])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 2e-5)])
+    def test_rows_losses_and_gradients_match_to_rounding(self, mode, vocab_size, dtype, tol):
+        rng = np.random.default_rng(41)
+        cfg = tiny_config(mode, vocab_size, num_layers=2)
+        params = init_params(cfg, seed=4, dtype=dtype)
+        randomize_params(params, rng)
+        for seed in range(4):
+            batch = random_batch(np.random.default_rng(seed), cfg, [3, 6, 1, 5, 6],
+                                 n_mask=2, with_null=True)
+            (probs, preds), full_loss, full_grads = self._loss_and_grads(params, batch, True)
+            (m_probs, m_preds), loss, grads = self._loss_and_grads(params, batch, False)
+            at = (batch.mask_rows, batch.mask_cols)
+            assert m_probs.shape == (len(batch.mask_rows), cfg.head_width)
+            np.testing.assert_allclose(m_probs.data, probs.data[at], rtol=tol, atol=tol)
+            if mode == "continuous":
+                np.testing.assert_allclose(m_preds.data, preds.data[at], rtol=tol, atol=tol)
+            else:
+                assert m_preds is None
+            assert loss == pytest.approx(full_loss, rel=tol)
+            for name, g in grads.items():
+                scale = np.max(np.abs(full_grads[name])) + 1.0
+                np.testing.assert_allclose(g, full_grads[name], rtol=0, atol=tol * scale,
+                                           err_msg=name)
 
 
 class TestGradientFlow:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from labmlm.errors import ConfigError
-from labmlm.optim import AdamState, adam_step
+from labmlm.errors import ConfigError, ContractError
+from labmlm.optim import AdamState, adam_step, gather_grads
 from labmlm.tape import Tape, TapeTensor, backward
 
 
@@ -100,3 +100,76 @@ def test_zero_learning_rate_is_a_no_op():
     p.grad = np.array([0.3, -0.7])
     adam_step(state)
     assert np.array_equal(p.data, np.array([1.0, -2.0]))
+
+
+def _per_tensor_adam(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam one tensor at a time, in the per-element op order of the flat update."""
+    data = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            m[i] *= b1
+            m[i] += (1.0 - b1) * g
+            v[i] *= b2
+            v[i] += (1.0 - b2) * (g * g)
+            data[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+    return data, m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate_dtype", [None, "params", np.float64])
+def test_flat_update_is_bit_identical_to_per_tensor_reference(dtype, rate_dtype):
+    """A scalar rate, and (M, 1, 1) rates in the parameters' dtype or in float64."""
+    rng = np.random.default_rng(11)
+    shapes = [(3, 4, 5), (3, 1, 5), (3, 2, 2)]
+    init = [rng.normal(size=s).astype(dtype) for s in shapes]
+    lr = 1e-3 if rate_dtype is None else np.asarray(
+        [0.1, 3e-3, 0.02], dtype=dtype if rate_dtype == "params" else rate_dtype).reshape(-1, 1, 1)
+    steps = [[rng.normal(scale=10.0 ** rng.integers(-6, 2), size=s).astype(dtype)
+              for s in shapes] for _ in range(6)]
+    steps[2][1] = None                                 # one skipped parameter
+    params = [TapeTensor(x.copy(), trainable=True) for x in init]
+    state = AdamState(params, learning_rate=lr)
+    for grads in steps:
+        for p, g in zip(params, grads):
+            p.grad = g
+        adam_step(state)
+    want, want_m, want_v = _per_tensor_adam(init, steps, lr)
+    for i, p in enumerate(params):
+        assert p.data.dtype == dtype and p.data.flags.c_contiguous
+        np.testing.assert_array_equal(p.data, want[i])
+        np.testing.assert_array_equal(state.m[i], want_m[i])
+        np.testing.assert_array_equal(state.v[i], want_v[i])
+
+
+def test_parameters_become_views_of_one_buffer():
+    params = [TapeTensor(np.ones((2, 3)), trainable=True), TapeTensor(np.zeros(4), trainable=True)]
+    state = AdamState(params, learning_rate=0.1)
+    assert params[0].data.flags.c_contiguous and params[1].data.shape == (4,)
+    assert np.shares_memory(params[0].data, params[1].data) is False
+    assert params[0].data.base is params[1].data.base is not None
+    assert [m.shape for m in state.m] == [(2, 3), (4,)]
+    params[0].grad, params[1].grad = np.full((2, 3), 2.0), np.arange(4.0)
+    g = gather_grads(state)
+    np.testing.assert_array_equal(g, [2.0] * 6 + [0.0, 1.0, 2.0, 3.0])
+
+
+def test_rebound_data_is_copied_back_into_the_buffer():
+    p = TapeTensor(np.zeros(3), trainable=True)
+    state = AdamState([p], learning_rate=0.1)
+    p.data = np.full(3, 5.0)
+    p.grad = np.zeros(3)
+    adam_step(state)
+    np.testing.assert_array_equal(p.data, 5.0)
+    assert p.data.base is not None
+
+
+def test_mixed_dtypes_raise_naming_both():
+    params = [TapeTensor(np.zeros(2, np.float32), trainable=True),
+              TapeTensor(np.zeros(2, np.float64), trainable=True)]
+    with pytest.raises(ContractError, match="float32.*float64"):
+        AdamState(params, learning_rate=0.1)

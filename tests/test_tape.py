@@ -453,6 +453,64 @@ class TestFusedLayerNorm:
                             TapeTensor(np.zeros(bias_shape)))
 
 
+def _composite_attention(q, k, v, pad, num_heads, key_dim):
+    """The tape ops attention recorded one by one before it was fused."""
+    b, L, width = q.shape
+
+    def split(t):
+        return tape.swapaxes(tape.reshape(t, (b, L, num_heads, key_dim)), 1, 2)
+
+    scores = tape.matmul(split(q), tape.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(key_dim))
+    if pad.any():
+        scores = scores + np.where(pad, tape.PAD_LOGIT, 0.0)[:, None, None, :]
+    ctx = tape.matmul(tape.softmax(scores, axis=-1), split(v))
+    return tape.reshape(tape.swapaxes(ctx, 1, 2), (b, L, width))
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b, L, h, k", [(32, 5, 2, 64), (32, 5, 2, 32), (3, 6, 2, 4)])
+    def test_bit_identical_to_composite(self, dtype, b, L, h, k):
+        rng = np.random.default_rng(b * L + k)
+        pad = np.arange(L) >= rng.integers(1, L + 1, size=b)[:, None]
+        pad[1] = True                      # one fully padded row
+        w = rng.normal(size=(b, L, h * k)).astype(dtype)
+        data = [rng.normal(size=(b, L, h * k)).astype(dtype) for _ in range(3)]
+        for mask in (pad, np.zeros_like(pad)):
+            outs, grads = [], []
+            for op in (tape.attention, _composite_attention):
+                qkv = [TapeTensor(d.copy(), trainable=True) for d in data]
+                with Tape():
+                    out = op(*qkv, mask, h, k)
+                    loss = tape.tsum(tape.mul(out, w))
+                backward(loss)
+                outs.append(out.data)
+                grads.append([t.grad for t in qkv])
+            assert outs[0].dtype == dtype
+            np.testing.assert_array_equal(outs[0], outs[1])
+            for fused, composite in zip(*grads):
+                np.testing.assert_array_equal(fused, composite)
+
+    def test_one_node(self):
+        qkv = [TapeTensor(np.random.default_rng(i).normal(size=(2, 3, 8)), trainable=True)
+               for i in range(3)]
+        with Tape() as t:
+            tape.attention(*qkv, np.array([[False, False, True], [False] * 3]), 2, 4)
+        assert len(t) == 1
+
+    def test_shapes_must_agree_with_the_heads(self):
+        x = TapeTensor(np.ones((2, 3, 8)))
+        with pytest.raises(DimensionError, match="attention"):
+            tape.attention(x, x, x, None, 2, 3)
+        with pytest.raises(DimensionError, match="attention"):
+            tape.attention(x, x, TapeTensor(np.ones((2, 4, 8))), None, 2, 4)
+
+    def test_non_finite_scores_raise(self):
+        x = TapeTensor(np.full((1, 2, 4), np.nan))
+        with pytest.raises(NumericError, match="non-finite"):
+            tape.attention(x, x, x, None, 1, 4)
+
+
 class TestFirstWriteGradient:
     def test_first_write_is_a_fresh_buffer_in_the_tensors_layout(self):
         t = TapeTensor(np.zeros((2, 3)), trainable=True)
@@ -476,9 +534,9 @@ class TestFirstWriteGradient:
 
 def _acceptance_step_nodes(mode):
     """Tape nodes of one training step at d_model 64, 4 layers, 2 heads, ff 128, batch 32."""
+    from labmlm import training
     from labmlm.corpus import LabBag, mask_bag, pad_batch
-    from labmlm.model import ModelConfig, forward_decile
-    from labmlm.training import decile_mlm_loss
+    from labmlm.model import ModelConfig
 
     cfg = ModelConfig(mode, 22, d_model=64, num_layers=4, num_heads=2, ff_dim=128)
     params = init_params(cfg, seed=0)
@@ -492,14 +550,13 @@ def _acceptance_step_nodes(mode):
         bags.append(mask_bag(bag, cfg.mask_token, rng))
     batch = pad_batch(bags)
     with Tape() as t:
-        if mode == "continuous":
-            multitask_loss(*forward_continuous(params, batch, training=True, rng=rng), batch)
-        else:
-            decile_mlm_loss(forward_decile(params, batch, training=True, rng=rng), batch)
+        training._forward_and_loss(params, batch, training=True, rng=rng)
     return len(t)
 
 
-@pytest.mark.parametrize("mode, most", [("continuous", 150), ("decile", 130)])
+# One attention node per layer and heads on the masked rows: 88 and 72 nodes
+# (145 and 126 with the composite attention and full-width heads).
+@pytest.mark.parametrize("mode, most", [("continuous", 88), ("decile", 72)])
 def test_acceptance_config_step_node_count(mode, most):
     assert _acceptance_step_nodes(mode) <= most
 

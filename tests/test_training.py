@@ -11,10 +11,12 @@ from panel_corpus import panel_corpus
 from labmlm import tape, training
 from labmlm.corpus import (
     LabBag,
+    bag_payload_equal,
     build_bags,
     generate_synthetic_corpus,
     mask_bag,
     pad_batch,
+    unmask_bag,
 )
 from labmlm.ecdf import build_continuous_vocab, build_decile_vocab, build_ecdf
 from labmlm.errors import (
@@ -307,6 +309,78 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(steps=1, learning_rate=-1e-4)
 
+    @pytest.mark.parametrize("val_batches", [0, -2])
+    def test_val_batches_below_one_rejected(self, val_batches):
+        # 0 would log CE 0.0 and perplexity 1.0 on every validation row
+        with pytest.raises(ConfigError, match=f"val_batches .*got {val_batches}"):
+            TrainConfig(steps=1, val_batches=val_batches)
+
+    def test_val_batches_none_or_positive_accepted(self):
+        assert TrainConfig(steps=1).val_batches is None
+        assert TrainConfig(steps=1, val_batches=1).val_batches == 1
+
+
+def _bags_of_lengths(rng, lengths, mask_token, premasked=()):
+    bags = []
+    for i, L in enumerate(lengths):
+        bag = LabBag(f"p{i}", 0.0, rng.integers(1, 6, size=L).astype(np.int64),
+                     rng.uniform(0, 1, size=L), rng.random(L) < 0.2)
+        bags.append(mask_bag(bag, mask_token, rng) if i in premasked else bag)
+    return bags
+
+
+class TestMaskDraws:
+    """One rng.integers call gives the masks one mask_bag call per bag gave."""
+
+    def _per_bag(self, bags, rng, mask_count=1):
+        return [b if len(b.mask_positions) else mask_bag(b, 9, rng, n_mask=min(mask_count, len(b)))
+                for b in bags]
+
+    @pytest.mark.parametrize("mask_count", [1, 3])
+    def test_same_masks_and_generator_state_as_per_bag_draws(self, mask_count):
+        lengths = np.random.default_rng(0).integers(1, 10, size=5000)
+        bags = _bags_of_lengths(np.random.default_rng(1), lengths, 9,
+                                premasked=set(range(0, 5000, 7)))
+        ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+        want = self._per_bag(bags, ref_rng, mask_count)
+        drawn, pos = training._draw_masks(bags, 9, rng, mask_count)
+        got = training._masked(drawn, pos, range(len(bags)), 9)
+        assert all(bag_payload_equal(a, b) for a, b in zip(got, want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # masked bags are built only when drawn
+        assert (pos >= 0).sum() == (0 if mask_count > 1 else len(bags) - len(range(0, 5000, 7)))
+
+    @pytest.mark.parametrize("remask", [False, True])
+    def test_pretrain_batches_match_per_bag_masking(self, remask):
+        """pretrain's batch sequence, with and without remask, is the per-bag one."""
+        rng0 = np.random.default_rng(3)
+        train = _bags_of_lengths(rng0, rng0.integers(1, 8, size=300), 9, premasked={4, 5, 90})
+        val = _bags_of_lengths(rng0, rng0.integers(1, 8, size=40), 9)
+        ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+        ref_train = self._per_bag(train, ref_rng)
+        ref_val = self._per_bag(val, ref_rng)
+        train_bags, train_pos = training._draw_masks(train, 9, rng, 1)
+        val_bags, val_pos = training._draw_masks(val, 9, rng, 1)
+        val_got = training._masked(val_bags, val_pos, range(len(val)), 9)
+        assert all(bag_payload_equal(a, b) for a, b in zip(val_got, ref_val))
+        for _ in range(20):
+            idx = rng.integers(0, len(train), size=16)
+            ref_idx = ref_rng.integers(0, len(train), size=16)
+            assert np.array_equal(idx, ref_idx)
+            if remask:
+                got = [mask_bag(unmask_bag(train_bags[i]), 9, rng) for i in idx]
+                want = [mask_bag(unmask_bag(ref_train[i]), 9, ref_rng) for i in idx]
+            else:
+                got = training._masked(train_bags, train_pos, idx, 9)
+                want = [ref_train[i] for i in idx]
+            assert all(bag_payload_equal(a, b) for a, b in zip(got, want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_empty_bag_rejected(self):
+        empty = LabBag("p", 0.0, np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool))
+        with pytest.raises(ContractError, match="empty bag"):
+            training._draw_masks([empty], 9, np.random.default_rng(0), 1)
+
 
 class TestPretrain:
     def model_and_bags(self, seed=13, dropout_rate=0.0):
@@ -498,6 +572,36 @@ class TestEvaluateImputation:
             evaluate_imputation(params, bags[:10], vocab, DECODE_WEIGHTED)
         with pytest.raises(ConfigError):
             evaluate_imputation(params, bags[:10], vocab, "fancy")
+
+    @pytest.mark.parametrize("mode", ["continuous", "decile"])
+    def test_targets_are_the_per_bag_choice_draws(self, mode):
+        events, _ = generate_synthetic_corpus(400, 5, seed=8, missing_rate=0.3)
+        counts, by_code = {}, {}
+        for ev in events:
+            counts[ev.code_id] = counts.get(ev.code_id, 0) + 1
+            if ev.value is not None:
+                by_code.setdefault(ev.code_id, []).append(ev.value)
+        ecdfs = {c: build_ecdf(c, np.asarray(v)) for c, v in by_code.items()}
+        vocab = (build_continuous_vocab(counts) if mode == "continuous"
+                 else build_decile_vocab(ecdfs, counts, binary_codes={"C001"}))
+        bags, _ = build_bags(events, vocab, ecdfs)
+        bags[3] = mask_bag(bags[3], vocab.mask_token, np.random.default_rng(0))
+        # the per-bag draws the one-call draw replaced
+        rng = np.random.default_rng(5)
+        want_bags, want_pos = [], []
+        for bag in bags:
+            bag = unmask_bag(bag)
+            cands = [p for p in np.flatnonzero(~bag.null_flags)
+                     if mode == "continuous"
+                     or vocab.is_numeric(vocab.code_for_token(bag.tokens[p]))]
+            if cands:
+                want_bags.append(bag)
+                want_pos.append(int(rng.choice(np.asarray(cands, dtype=np.int64))))
+        got = training._imputation_targets(bags, vocab, seed=5)
+        assert len(want_bags) < len(bags)      # some bags have nothing to impute
+        assert [int(pos) for _, pos in got] == want_pos
+        assert len(got) == len(want_bags)
+        assert all(bag_payload_equal(a, b) for (a, _), b in zip(got, want_bags))
 
     def test_empty_test_set_rejected(self):
         bags, vocab, _ = small_corpus()

@@ -339,16 +339,18 @@ class TestMaskDraws:
     @pytest.mark.parametrize("mask_count", [1, 3])
     def test_same_masks_and_generator_state_as_per_bag_draws(self, mask_count):
         lengths = np.random.default_rng(0).integers(1, 10, size=5000)
-        bags = _bags_of_lengths(np.random.default_rng(1), lengths, 9,
-                                premasked=set(range(0, 5000, 7)))
+        premasked = set(range(0, 5000, 7))
+        bags = _bags_of_lengths(np.random.default_rng(1), lengths, 9, premasked=premasked)
         ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
         want = self._per_bag(bags, ref_rng, mask_count)
         drawn, pos = training._draw_masks(bags, 9, rng, mask_count)
         got = training._masked(drawn, pos, range(len(bags)), 9)
         assert all(bag_payload_equal(a, b) for a, b in zip(got, want))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # masked bags are built only when drawn
-        assert (pos >= 0).sum() == (0 if mask_count > 1 else len(bags) - len(range(0, 5000, 7)))
+        # with one mask per bag, the unmasked bags stay unmasked until drawn
+        deferred = np.flatnonzero(pos >= 0)
+        assert len(deferred) == (0 if mask_count > 1 else len(bags) - len(premasked))
+        assert all(not len(drawn[i].mask_positions) for i in deferred)
 
     @pytest.mark.parametrize("remask", [False, True])
     def test_pretrain_batches_match_per_bag_masking(self, remask):

@@ -532,11 +532,15 @@ class TestFirstWriteGradient:
         np.testing.assert_array_equal(w.grad, np.ones((4, 3)))
 
 
-def _acceptance_step_nodes(mode):
-    """Tape nodes of one training step at d_model 64, 4 layers, 2 heads, ff 128, batch 32."""
+def _acceptance_step_nodes(mode, step):
+    """Tape nodes of one step at d_model 64, 4 layers, 2 heads, ff 128, batch 32.
+
+    ``step`` is "full" (the full-width forward and its loss) or "training"
+    (the training loop's own forward and loss, heads on the masked rows).
+    """
     from labmlm import training
     from labmlm.corpus import LabBag, mask_bag, pad_batch
-    from labmlm.model import ModelConfig
+    from labmlm.model import ModelConfig, forward_decile
 
     cfg = ModelConfig(mode, 22, d_model=64, num_layers=4, num_heads=2, ff_dim=128)
     params = init_params(cfg, seed=0)
@@ -550,15 +554,26 @@ def _acceptance_step_nodes(mode):
         bags.append(mask_bag(bag, cfg.mask_token, rng))
     batch = pad_batch(bags)
     with Tape() as t:
-        training._forward_and_loss(params, batch, training=True, rng=rng)
+        if step == "training":
+            training._forward_and_loss(params, batch, training=True, rng=rng)
+        elif mode == "continuous":
+            multitask_loss(*forward_continuous(params, batch, training=True, rng=rng), batch)
+        else:
+            training.decile_mlm_loss(forward_decile(params, batch, training=True, rng=rng),
+                                     batch)
     return len(t)
+
+
+@pytest.mark.parametrize("mode, most", [("continuous", 150), ("decile", 130)])
+def test_acceptance_config_step_node_count(mode, most):
+    assert _acceptance_step_nodes(mode, "full") <= most
 
 
 # One attention node per layer and heads on the masked rows: 88 and 72 nodes
 # (145 and 126 with the composite attention and full-width heads).
 @pytest.mark.parametrize("mode, most", [("continuous", 88), ("decile", 72)])
-def test_acceptance_config_step_node_count(mode, most):
-    assert _acceptance_step_nodes(mode) <= most
+def test_acceptance_config_training_step_node_count(mode, most):
+    assert _acceptance_step_nodes(mode, "training") <= most
 
 
 class TestDtypeRule:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .corpus import (
     build_bags,
     code_frequencies,
@@ -44,7 +45,6 @@ from .finetune import (
     fit_linear_baseline,
     grid_search_finetune,
     load_finetune_csv,
-    usable_cpus,
 )
 from .model import ModelConfig, encode, init_params, load_checkpoint
 from .tape import untracked
@@ -107,7 +107,7 @@ def _runtime(dtype) -> dict:
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
             "threads": {var: os.environ.get(var) for var in THREAD_VARS},
-            "cpus": usable_cpus(),
+            "cpus": parallel.usable_cpus(),
             "dtype": np.dtype(dtype).name}
 
 
@@ -301,7 +301,15 @@ def cmd_pretrain(args, out: _Outputs) -> int:
 # impute
 
 
+def _check_at_least_one(**flags) -> None:
+    """ConfigError naming the first flag that is set and below 1."""
+    for name, value in flags.items():
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def cmd_impute(args, out: _Outputs) -> int:
+    _check_at_least_one(batch_size=args.batch_size)
     params = load_checkpoint(args.checkpoint)
     data = Path(args.data)
     vocab = _load_vocab(data)
@@ -406,6 +414,7 @@ def cmd_finetune(args, out: _Outputs) -> int:
 
 
 def cmd_dump_embeddings(args, out: _Outputs) -> int:
+    _check_at_least_one(batch_size=args.batch_size, limit=args.limit)
     params = load_checkpoint(args.checkpoint)
     data = Path(args.data)
     vocab = _load_vocab(data)

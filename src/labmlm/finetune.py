@@ -33,13 +33,12 @@ import csv
 import functools
 import itertools
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tape
+from . import parallel, tape
 from .corpus import LabBag, pad_batch
 from .ecdf import MODE_CONTINUOUS, ecdf_apply_many
 from .errors import ConfigError, ContractError, DataError
@@ -445,13 +444,6 @@ class GridSearchResult:
     seed: int
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _fit_unit(pooled, extras, labels, cfg, cells, unit) -> list:
     """Train one grid unit's stack on its fold's training rows; score it on the rest.
 
@@ -476,31 +468,6 @@ def _fit_unit(pooled, extras, labels, cfg, cells, unit) -> list:
                      labels[test]).tolist()
 
 
-def _map_on_cpus(fn, items) -> list:
-    """[fn(item) for item in items], on one forked worker per usable CPU.
-
-    With one usable CPU, one item or no `fork` start method, the items map
-    inline. The pool lives inside the call, so every worker is joined before
-    it returns or raises, and a worker's exception reaches the caller with
-    its type and message. Forked workers inherit the BLAS thread variables,
-    so each result holds the bits a serial call gives at that thread count.
-    """
-    # Imported here, not at module level: the pool machinery adds about 1 MB
-    # of resident memory to every process that never runs a grid.
-    import multiprocessing
-
-    workers = min(usable_cpus(), len(items))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        return list(pool.map(fn, items, chunksize=1))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecdfs,
                          cfg: FinetuneConfig, k_folds: int = 5, replicates: int = 5,
                          seed: int = 0) -> GridSearchResult:
@@ -515,8 +482,8 @@ def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecd
     keeps its own init and training seed, so every row matches training and
     scoring that cell as a one-member stack. The (replicate, fold, stack)
     units share nothing but the pooled embeddings, so they run on the usable
-    CPUs, and the rows are the same bits for any CPU count at a fixed BLAS
-    thread count. The winner has the lowest mean held-out metric; ties
+    CPUs (`parallel.map_on_cpus`), and the rows are the same bits for any CPU
+    count at a fixed BLAS thread count. The winner has the lowest mean held-out metric; ties
     prefer fewer epochs, then a smaller learning rate.
     """
     labels = dataset.labels
@@ -542,8 +509,8 @@ def grid_search_finetune(base: ModelParams, dataset: FinetuneDataset, vocab, ecd
         fold = make_folds(n, k_folds, np.random.default_rng(seed + rep))
         units += [(seed + rep, fold, f, members)
                   for f in range(k_folds) for members in stacks.values()]
-    losses = _map_on_cpus(functools.partial(_fit_unit, pooled, extras, labels, cfg, cells),
-                          units)
+    losses = parallel.map_on_cpus(
+        functools.partial(_fit_unit, pooled, extras, labels, cfg, cells), units)
 
     held_out = [[] for _ in cells]      # per cell: replicate-major, then fold
     for (*_, members), unit_losses in zip(units, losses):

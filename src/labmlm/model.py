@@ -121,9 +121,22 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """A model's tensors keyed by param_spec name, in spec order."""
+    """A model's tensors keyed by param_spec name, in spec order.
+
+    `blocks` holds, per backbone block, its tensors keyed by the rest of
+    their name and its attention layer's keyed by `attention_spec` name. It
+    is built once from `by_name`, so change a tensor's data in place rather
+    than replacing its entry.
+    """
     config: ModelConfig
     by_name: dict = field(repr=False)
+    blocks: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.blocks = []
+        for i in range(self.config.num_layers):
+            blk = _scope(self.by_name, f"block{i}.")
+            self.blocks.append((blk, _scope(blk, "attn.")))
 
     @property
     def dtype(self) -> np.dtype:
@@ -227,13 +240,17 @@ def continuous_embed(values, token_embeddings, null_flags: np.ndarray,
 
 def backbone_forward(x, pad_mask, params: ModelParams, training: bool = False,
                      rng=None) -> TapeTensor:
-    """num_layers post-norm blocks; identity when num_layers is 0."""
+    """num_layers post-norm blocks; identity when num_layers is 0.
+
+    In training with dropout, each block draws `rng.random((b, L, d_model))`
+    after attention and again after the feedforward layer, and nothing else
+    draws from rng.
+    """
     cfg = params.config
     if training and cfg.dropout_rate > 0.0 and rng is None:
         raise ConfigError("training with dropout needs an rng")
-    for i in range(cfg.num_layers):
-        blk = _scope(params.by_name, f"block{i}.")
-        a = multi_head_attention(x, _scope(blk, "attn."), cfg.num_heads, cfg.key_dim, pad_mask)
+    for blk, attn in params.blocks:
+        a = multi_head_attention(x, attn, cfg.num_heads, cfg.key_dim, pad_mask)
         a = tape.dropout(a, cfg.dropout_rate, rng, training)
         x = tape.layer_norm(x + a, blk["ln1_gain"], blk["ln1_bias"])
         f = tape.linear(tape.relu(tape.linear(x, blk["ff1_w"], blk["ff1_b"])),

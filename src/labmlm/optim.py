@@ -7,6 +7,11 @@ one `np.concatenate(..., out=)` and updates all parameters with a fixed
 handful of numpy calls. Each element sees the per-tensor update's op
 sequence, so the results are the same bits as updating tensor by tensor.
 Gradients stay per-tensor arrays, fresh on each backward.
+
+The update is elementwise, so it can also run in pieces: after
+`share_buffers` moves the parameters and the moments into shared memory,
+processes forked from the owner each run `adam_step` on their own `span` of
+parameters, with the same bits as one whole update.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .parallel import shared_array
 from .tape import TapeTensor
 
 
@@ -84,43 +90,83 @@ def _views(flat, params) -> list:
     return out
 
 
-def gather_grads(state: AdamState) -> np.ndarray:
-    """Every parameter's .grad in one flat buffer, zeros where it is None.
+def share_buffers(state: AdamState) -> None:
+    """Move the flat parameters and moments into anonymous shared memory.
 
-    The buffer is the state's own and the next gather or step overwrites it.
+    Processes forked afterwards read and update the same parameters; the
+    gradient and scratch buffers stay private, so each process can step its
+    own span.
     """
     flat = state._flat
+    for key in ("data", "m", "v"):
+        shared = shared_array(flat[key].shape, flat[key].dtype)
+        shared[...] = flat[key]
+        flat[key] = shared
+    flat["views"] = _views(flat["data"], state.params)
+    for p, view in zip(state.params, flat["views"]):
+        p.data = view
+    state.m, state.v = _views(flat["m"], state.params), _views(flat["v"], state.params)
+
+
+def adam_spans(state: AdamState, k: int) -> list:
+    """k contiguous (first, stop) parameter ranges of about equal element counts."""
+    ends = np.cumsum([0] + [p.size for p in state.params])
+    cuts = [int(np.abs(ends - ends[-1] * j / k).argmin()) for j in range(1, k)]
+    bounds = [0, *cuts, len(state.params)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def gather_grads(state: AdamState, out: np.ndarray | None = None) -> np.ndarray:
+    """Every parameter's .grad in one flat buffer, zeros where it is None.
+
+    The buffer is `out`, or else the state's own, which the next gather or
+    step overwrites.
+    """
+    flat = state._flat
+    out = flat["grads"] if out is None else out
     parts = [np.zeros(p.size, flat["data"].dtype) if p.grad is None else p.grad.reshape(-1)
              for p in state.params]
     if parts:
-        np.concatenate(parts, out=flat["grads"])
-    return flat["grads"]
+        np.concatenate(parts, out=out)
+    return out
 
 
-def adam_step(state: AdamState, grads: np.ndarray | None = None) -> None:
+def adam_step(state: AdamState, grads: np.ndarray | None = None, skip=None,
+              span: tuple | None = None) -> None:
     """One bias-corrected Adam update in place, from each parameter's .grad.
 
-    `grads` is `gather_grads(state)`'s buffer when the caller gathered this
-    step's gradients already. A parameter whose gradient is None is skipped
-    entirely: its value and moments stay as they were. A fresh state stepped
-    with zero gradients leaves parameters unchanged. A parameter whose .data
-    was rebound since the state was built is copied back into the buffer.
+    `grads` is a flat gradient buffer, such as `gather_grads(state)`'s, when
+    the caller gathered this step's gradients already; the step uses it as
+    scratch space. A skipped parameter keeps its value and moments: `skip`
+    lists parameter indices, and by default holds those whose gradient is
+    None. A fresh state stepped with zero gradients leaves parameters
+    unchanged. `span` = (first, stop) confines the update to those
+    parameters; the step count advances all the same. A parameter whose
+    .data was rebound since the state was built is copied back into the
+    buffer.
     """
     flat = state._flat
-    for p, view in zip(state.params, flat["views"]):
+    first, stop = (0, len(state.params)) if span is None else span
+    for p, view in zip(state.params[first:stop], flat["views"][first:stop]):
         if p.data is not view:
             view[...] = p.data
             p.data = view
     g = gather_grads(state) if grads is None else grads
-    skipped = [i for i, p in enumerate(state.params) if p.grad is None]
-    kept = [(i, state.m[i].copy(), state.v[i].copy(), flat["views"][i].copy()) for i in skipped]
+    if skip is None:
+        skip = [i for i, p in enumerate(state.params) if p.grad is None]
+    kept = [(i, state.m[i].copy(), state.v[i].copy(), flat["views"][i].copy())
+            for i in skip if first <= i < stop]
 
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    m, v, tmp, work = flat["m"], flat["v"], flat["scratch"], flat["work"]
+    lo = sum(p.size for p in state.params[:first])
+    part = slice(lo, lo + sum(p.size for p in state.params[first:stop]))
+    m, v, tmp, work = flat["m"][part], flat["v"][part], flat["scratch"][part], flat["work"][part]
+    g = g[part]
+    rate = flat["rate"][part] if np.ndim(flat["rate"]) else flat["rate"]
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=tmp)
@@ -129,12 +175,12 @@ def adam_step(state: AdamState, grads: np.ndarray | None = None) -> None:
     tmp *= 1.0 - b2
     v += tmp
     # data -= lr (m / c1) / (sqrt(v / c2) + eps), in the rate's dtype if it is wider
-    np.multiply(np.divide(m, c1, out=tmp), flat["rate"], out=work)
+    np.multiply(np.divide(m, c1, out=tmp), rate, out=work)
     np.divide(v, c2, out=g)
     np.sqrt(g, out=g)
     g += state.epsilon
     work /= g
-    flat["data"] -= work
+    flat["data"][part] -= work
 
     for i, mi, vi, di in kept:
         state.m[i][...] = mi

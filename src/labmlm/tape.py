@@ -560,7 +560,8 @@ def dropout(a, rate: float, rng, training: bool) -> TapeTensor:
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
     Identity when training is false or rate is 0; expectation-preserving
-    otherwise. rate must lie in [0, 1).
+    otherwise. rate must lie in [0, 1). The mask comes from one
+    `rng.random(a.shape)` call, so rng may be anything with that method.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")

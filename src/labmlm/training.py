@@ -7,6 +7,11 @@ supervision never leaks from unmasked inputs except through the network; the
 loop, validation and imputation therefore run the heads on the masked rows
 alone (`model.forward_masked`).
 
+`pretrain` runs each step as `BLOCKS` fixed row blocks of its batch, whose
+loss sums over the whole batch's counts add up to the batch loss. With two
+usable CPUs the second block runs in a worker forked for the call; the bits
+do not depend on the CPU count, since the blocks are fixed.
+
 Imputation evaluation masks one valued position per test bag, predicts it,
 and reports Pearson correlations globally and per code. Decile predictions
 are decoded either as a probability-weighted average of decile lower bounds
@@ -27,7 +32,9 @@ from .corpus import Batch, mask_bag, pad_batch, unmask_bag
 from .ecdf import MODE_CONTINUOUS, MODE_DECILE, Vocab
 from .errors import ConfigError, ContractError, DecodeError, NumericError, VocabError
 from .model import ModelParams, forward_masked, init_params, save_checkpoint
-from .optim import AdamState, adam_step, gather_grads, zero_param_grads
+from .optim import (AdamState, adam_spans, adam_step, gather_grads, share_buffers,
+                    zero_param_grads)
+from .parallel import Worker, shared_array
 from .tape import Tape, TapeTensor, backward, untracked
 
 DECODE_CONTINUOUS = "continuous"
@@ -75,14 +82,22 @@ def multitask_loss(code_probs, value_preds, batch: Batch) -> LossParts:
     are means over their contributing positions; a batch whose masked truths
     are all null has MSE exactly 0.
     """
-    ce = _masked_ce(code_probs, batch, "multitask_loss")
+    return _multitask_loss(code_probs, value_preds, batch, _loss_counts(batch))
+
+
+def _multitask_loss(code_probs, value_preds, batch: Batch, counts) -> LossParts:
+    """multitask_loss with its sums divided by counts = (masks, live masks).
+
+    With a whole batch's counts, a row block's terms add up to the batch's.
+    """
+    ce = _masked_ce(code_probs, batch, "multitask_loss", counts[0])
     live = ~batch.truth_nulls
     if live.any():
         preds = _at_masks(value_preds, batch, 1)
         if not live.all():
             preds = tape.embedding_lookup(preds, np.flatnonzero(live))   # a row gather
         diff = preds - batch.truth_values[live]
-        mse = tape.tmean(tape.mul(diff, diff))
+        mse = _mean_over(tape.mul(diff, diff), counts[1])
     else:
         mse = TapeTensor(np.zeros((), dtype=ce.data.dtype))
     return LossParts(ce + mse, ce, mse)
@@ -93,7 +108,17 @@ def decile_mlm_loss(token_probs, batch: Batch) -> TapeTensor:
 
     token_probs are the masked rows [m, V], or every position's [b, L, V].
     """
-    return _masked_ce(token_probs, batch, "decile_mlm_loss")
+    return _masked_ce(token_probs, batch, "decile_mlm_loss", len(batch.mask_rows))
+
+
+def _loss_counts(batch: Batch) -> tuple:
+    """(masked positions, masked positions with a value): the losses' denominators."""
+    return len(batch.mask_rows), int((~batch.truth_nulls).sum())
+
+
+def _mean_over(x, count: int) -> TapeTensor:
+    """sum(x) / count, with `tape.tmean`'s ops: the mean when count is x's size."""
+    return tape.mul(tape.tsum(x), 1.0 / count)
 
 
 def _at_masks(out, batch: Batch, row_ndim: int):
@@ -106,15 +131,15 @@ def _at_masks(out, batch: Batch, row_ndim: int):
     return out
 
 
-def _masked_ce(probs, batch: Batch, loss_name: str) -> TapeTensor:
-    """-mean log p of each masked position's truth token; token t is column t - 1."""
+def _masked_ce(probs, batch: Batch, loss_name: str, count: int) -> TapeTensor:
+    """-sum log p of each masked position's truth token / count; token t is column t - 1."""
     if len(batch.mask_rows) == 0:
         raise ContractError(f"{loss_name} needs at least one masked position")
     width = probs.shape[-1]
     if batch.truth_tokens.min() < 1 or batch.truth_tokens.max() > width:
         raise VocabError(f"masked truth token outside [1, {width}]")
     p_true = tape.take_along_last(_at_masks(probs, batch, 2), batch.truth_tokens - 1)
-    return tape.neg(tape.tmean(tape.log(p_true)))
+    return tape.neg(_mean_over(tape.log(p_true), count))
 
 
 def perplexity(mean_ce: float) -> float:
@@ -178,36 +203,79 @@ def _masked(bags, pos, idx, mask_token):
             for i in idx]
 
 
-def _forward_and_loss(params, batch, training, rng):
+def _masked_batch(bags, pos, idx, mask_token) -> Batch:
+    """`pad_batch(_masked(bags, pos, idx, mask_token))`, masked in the padded arrays.
+
+    A bag keeps its own masks or gets one at its `pos`; never both. Writing
+    the deferred masks into the batch costs a few array ops instead of one
+    `mask_bag` per bag.
+    """
+    batch = pad_batch([bags[i] for i in idx])
+    at = pos[idx]
+    rows = np.flatnonzero(at >= 0)
+    if not rows.size:
+        return batch
+    cols = at[rows]
+    truths = [a[rows, cols] for a in (batch.tokens, batch.values, batch.null_flags)]
+    batch.tokens[rows, cols] = mask_token
+    batch.values[rows, cols] = 0.0
+    batch.null_flags[rows, cols] = False
+    mask_rows = np.concatenate([batch.mask_rows, rows])
+    order = np.argsort(mask_rows, kind="stable")
+    merged = [np.concatenate([old, new])[order] for old, new in
+              zip((batch.mask_cols, batch.truth_tokens, batch.truth_values, batch.truth_nulls),
+                  (cols, *truths))]
+    return Batch(batch.tokens, batch.values, batch.null_flags, batch.pad_mask, batch.lengths,
+                 mask_rows[order], *merged)
+
+
+def _forward_and_loss(params, batch, training, rng, counts=None):
+    """The loss parts of a batch, or of a row block given its batch's `counts`."""
     probs, preds = forward_masked(params, batch, training=training, rng=rng)
+    counts = _loss_counts(batch) if counts is None else counts
     if params.config.mode == MODE_CONTINUOUS:
-        return multitask_loss(probs, preds, batch)
-    ce = decile_mlm_loss(probs, batch)
+        return _multitask_loss(probs, preds, batch, counts)
+    ce = _masked_ce(probs, batch, "decile_mlm_loss", counts[0])
     return LossParts(ce, ce, TapeTensor(np.full((), np.nan, dtype=ce.data.dtype)))
 
 
-def _validate(params, val_bags, batch_size, max_batches=None):
-    """Mean CE/MSE over all masked positions of the validation bags."""
+def _validate(params, val_bags, batch_size, max_batches=None, worker=None):
+    """Mean CE/MSE over all masked positions of the validation bags.
+
+    With a forked `worker`, it scores every other batch; the sums still run
+    in batch order, so the result is the same bits.
+    """
+    starts = list(range(0, len(val_bags), batch_size))[:max_batches]
+    if worker is not None and worker.forked:
+        worker.submit(("validate", starts[1::2]))
+        terms = [None] * len(starts)
+        terms[0::2] = _val_terms(params, val_bags, starts[0::2], batch_size)
+        terms[1::2] = worker.result()
+    else:
+        terms = _val_terms(params, val_bags, starts, batch_size)
     ce_sum = mse_sum = 0.0
     n_ce = n_mse = 0
-    n_batches = 0
-    with untracked():
-        for start in range(0, len(val_bags), batch_size):
-            if max_batches is not None and n_batches >= max_batches:
-                break
-            batch = pad_batch(val_bags[start : start + batch_size])
-            parts = _forward_and_loss(params, batch, training=False, rng=None)
-            k = len(batch.mask_rows)
-            ce_sum += parts.ce.item() * k
-            n_ce += k
-            live = int((~batch.truth_nulls).sum())
-            if params.config.mode == MODE_CONTINUOUS and live:
-                mse_sum += parts.mse.item() * live
-                n_mse += live
-            n_batches += 1
+    for ce, k, mse, live in terms:
+        ce_sum += ce * k
+        n_ce += k
+        if params.config.mode == MODE_CONTINUOUS and live:
+            mse_sum += mse * live
+            n_mse += live
     ce = ce_sum / max(n_ce, 1)
     mse = mse_sum / n_mse if n_mse else float("nan")
     return ce, mse
+
+
+def _val_terms(params, val_bags, starts, batch_size) -> list:
+    """(ce, masks, mse, live masks) of the validation batch at each start."""
+    terms = []
+    with untracked():
+        for start in starts:
+            batch = pad_batch(val_bags[start : start + batch_size])
+            parts = _forward_and_loss(params, batch, training=False, rng=None)
+            n_ce, n_mse = _loss_counts(batch)
+            terms.append((parts.ce.item(), n_ce, parts.mse.item(), n_mse))
+    return terms
 
 
 def _append_metrics(path, rows):
@@ -246,6 +314,170 @@ def _abort_step(why, step, batch, out_dir, metrics_path, pending):
     raise NumericError(f"{why} at step {step}; batch dumped to {dump}")
 
 
+# Row blocks per pre-training step. A constant, not the CPU count: the
+# blocks fix the bits, so a run writes the same bytes on any number of CPUs.
+# `pretrain` runs block 0 itself and the other block in one forked worker.
+BLOCKS = 2
+
+
+def _row_blocks(batch_size: int) -> list:
+    """(first, stop) rows of each of a step's BLOCKS blocks, at most one per row."""
+    k = min(BLOCKS, batch_size)
+    bounds = [batch_size * j // k for j in range(k + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _block(batch: Batch, first: int, stop: int) -> Batch:
+    """Rows first..stop-1 of a batch, at the batch's padded length, with their masks."""
+    a, z = np.searchsorted(batch.mask_rows, (first, stop))
+    rows = slice(first, stop)
+    return Batch(batch.tokens[rows], batch.values[rows], batch.null_flags[rows],
+                 batch.pad_mask[rows], batch.lengths[rows], batch.mask_rows[a:z] - first,
+                 batch.mask_cols[a:z], batch.truth_tokens[a:z], batch.truth_values[a:z],
+                 batch.truth_nulls[a:z])
+
+
+class _Uniforms:
+    """Stands in for the generator in a row block's forward.
+
+    The step's dropout uniforms are drawn up front, each [b, L, d_model] and
+    in the order the forward asks for them; `random(shape)` hands out the
+    block's rows of the next one.
+    """
+
+    def __init__(self, draws, rows):
+        self._draws, self._rows, self._next = draws, slice(*rows), 0
+
+    def random(self, shape):
+        if self._next == len(self._draws):
+            raise ContractError(f"the forward asked for more than {len(self._draws)} dropout draws")
+        u = self._draws[self._next][self._rows]
+        self._next += 1
+        if u.shape != tuple(shape):
+            raise ContractError(f"the forward asked for uniforms of shape {tuple(shape)}; "
+                                f"the block's drawn rows are {u.shape}")
+        return u
+
+
+def _block_grads(params, adam, block, rows, draws, counts, out):
+    """Forward and backward of one row block, its gradients gathered into `out`.
+
+    Returns (ce, mse, total, ungraded): the block's loss parts in the model's
+    dtype, its total loss as a float, and the indices of the parameters it
+    gave no gradient. A block whose loss is not finite skips its backward.
+    """
+    zero_param_grads(adam.params)
+    with Tape():
+        parts = _forward_and_loss(params, block, True, _Uniforms(draws, rows), counts)
+        total = parts.total.item()
+        if math.isfinite(total):
+            backward(parts.total)
+    gather_grads(adam, out)
+    return (parts.ce.data, parts.mse.data, total,
+            [i for i, p in enumerate(adam.params) if p.grad is None])
+
+
+def _add_in_order(bufs) -> np.ndarray:
+    """bufs[0] + bufs[1] + ..., left to right, into bufs[0]; the order fixes the bits."""
+    for buf in bufs[1:]:
+        bufs[0] += buf
+    return bufs[0]
+
+
+class _Blocks:
+    """A step's row blocks and the buffers they share with the worker.
+
+    Block 0 runs in this process and the later blocks in `worker`, which is
+    forked or runs them here afterwards. The gradient buffers and the two
+    uniform arenas are shared memory, mapped before the fork; `serve` is the
+    worker's side. Steps alternate arenas, so the next step's uniforms can
+    be drawn while the worker still reads this step's.
+    """
+
+    def __init__(self, params, adam, config: TrainConfig, longest: int, val_bags):
+        cfg = params.config
+        self.params, self.adam, self.val_bags = params, adam, val_bags
+        self.batch_size = config.batch_size
+        self.rows = _row_blocks(config.batch_size)
+        size = sum(p.size for p in adam.params)
+        self.grads = [shared_array(size, params.dtype) for _ in self.rows]
+        # The forward draws uniforms for dropout only: after attention and
+        # after the feedforward layer of each block.
+        self.n_draws = 2 * cfg.num_layers if cfg.dropout_rate > 0.0 else 0
+        self.arenas = [shared_array(self.n_draws * config.batch_size * longest * cfg.d_model,
+                                    np.float64) for _ in range(2)]
+        self.spans = adam_spans(adam, 2)
+        self.worker = None
+        self._turn = 0
+        self._adam_out = False
+
+    def draw(self, rng, next_batch) -> tuple:
+        """(batch, arena): `next_batch()`, then its dropout uniforms from rng.
+
+        The uniforms are drawn in the order the forward asks for them, into
+        the arena the last step did not use.
+        """
+        batch = next_batch()
+        self._turn ^= 1
+        rng.random(out=self._draws(self._turn, batch.tokens.shape))
+        return batch, self._turn
+
+    def _draws(self, arena: int, batch_shape) -> np.ndarray:
+        """A step's uniforms in `arena`, for a batch of (rows, length)."""
+        shape = (self.n_draws, *batch_shape, self.params.config.d_model)
+        return self.arenas[arena][: math.prod(shape)].reshape(shape)
+
+    def serve(self, request):
+        """The worker's side: a step's later blocks, its half of Adam, or validation batches."""
+        kind, *args = request
+        if kind == "grads":
+            blocks, arena, batch_shape, counts = args
+            draws = self._draws(arena, batch_shape)
+            return [_block_grads(self.params, self.adam, block, self.rows[k], draws, counts,
+                                 self.grads[k]) for k, block in enumerate(blocks, start=1)]
+        if kind == "adam":
+            return adam_step(self.adam, self.grads[0], args[0], self.spans[1])
+        return _val_terms(self.params, self.val_bags, args[0], self.batch_size)
+
+    def gradients(self, step: tuple, meanwhile=None) -> tuple:
+        """(each block's `_block_grads` result in block order, `meanwhile()`).
+
+        `step` is `draw`'s (batch, arena). `meanwhile` runs after block 0,
+        while the worker may still run the rest.
+        """
+        self.settle()
+        batch, arena = step
+        counts = _loss_counts(batch)
+        draws = self._draws(arena, batch.tokens.shape)
+        blocks = [_block(batch, *rows) for rows in self.rows]
+        if len(blocks) > 1:
+            self.worker.submit(("grads", blocks[1:], arena, batch.tokens.shape, counts))
+        results = [_block_grads(self.params, self.adam, blocks[0], self.rows[0], draws, counts,
+                                self.grads[0])]
+        extra = meanwhile() if meanwhile is not None else None
+        if len(blocks) > 1:
+            results += self.worker.result()
+        return results, extra
+
+    def update(self, grads, skip) -> None:
+        """One Adam step; a forked worker steps its half of the parameters.
+
+        The worker's half runs while this process steps its own and logs the
+        step; `settle` waits for it before anything reads the parameters.
+        """
+        if self.worker.forked:
+            self.worker.submit(("adam", skip))
+            adam_step(self.adam, grads, skip, self.spans[0])
+            self._adam_out = True
+        else:
+            adam_step(self.adam, grads, skip)
+
+    def settle(self) -> None:
+        if self._adam_out:
+            self._adam_out = False
+            self.worker.result()
+
+
 def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
              out_dir) -> PretrainResult:
     """Adam pre-training with per-step train rows and periodic validation.
@@ -253,9 +485,21 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
     Everything is driven by config.seed: batch sampling, masking, dropout.
     The run trains in the dtype of `params`, at its `config.dropout_rate`.
     A rerun with the same inputs, dtype, numpy and BLAS builds and BLAS
-    thread count writes byte-identical logs and checkpoints. A non-finite
-    loss or gradient aborts before the Adam step, with the offending batch
-    dumped next to the log.
+    thread count writes byte-identical logs and checkpoints, on any number
+    of CPUs. A non-finite loss or gradient aborts before the Adam step, with
+    the offending batch dumped next to the log.
+
+    This process draws each step's batch, masks and dropout uniforms, then
+    splits the batch into `BLOCKS` fixed row blocks. Each block's CE and MSE
+    are its sums divided by the whole batch's counts, so their gradients add
+    up, in block order, to the batch loss's. With two usable CPUs a worker
+    forked inside the call runs block 1 while this process runs block 0; the
+    parameters, the Adam moments and each block's flat gradient live in
+    shared memory, and each process then steps Adam over its half of the
+    parameters. Otherwise block 1 runs here after block 0, with the same
+    bits. The worker also scores every other validation batch. It is joined
+    before the call returns or raises, and the parameters end in private
+    memory again.
     """
     if not train_bags:
         raise ContractError("pretrain needs a nonempty training set")
@@ -280,60 +524,82 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
 
     trainables = params.tensors()
     adam = AdamState(trainables, config.learning_rate)
+    share_buffers(adam)
+    blocks = _Blocks(params, adam, config, max(bag.tokens.size for bag in train_bags),
+                     val_bags)
+    offsets = np.cumsum([p.size for p in trainables])[:-1]
 
     history = []
     checkpoints = []
 
     def run_validation(step):
-        ce, mse = _validate(params, val_bags, config.batch_size, config.val_batches)
+        blocks.settle()
+        ce, mse = _validate(params, val_bags, config.batch_size, config.val_batches,
+                            blocks.worker)
         row = (step, "val", ce, mse, perplexity(ce))
         history.append(row)
         _append_metrics(metrics_path, [row])
 
-    run_validation(0)
-    pending = []
-    for step in range(1, config.steps + 1):
+    def next_batch():
         idx = rng.integers(0, len(train_bags), size=config.batch_size)
         if config.remask:
-            drawn = [mask_bag(unmask_bag(train_bags[i]), mask_token, rng,
-                              n_mask=min(config.mask_count, len(train_bags[i]))) for i in idx]
-        else:
-            drawn = _masked(train_bags, train_pos, idx, mask_token)
-        batch = pad_batch(drawn)
+            return pad_batch([mask_bag(unmask_bag(train_bags[i]), mask_token, rng,
+                                       n_mask=min(config.mask_count, len(train_bags[i])))
+                              for i in idx])
+        return _masked_batch(train_bags, train_pos, idx, mask_token)
 
-        zero_param_grads(trainables)
-        with Tape():
-            parts = _forward_and_loss(params, batch, training=True, rng=rng)
-            total = parts.total.item()
-            if not np.isfinite(total):
-                _abort_step(f"non-finite loss {total}", step, batch, out_dir,
-                            metrics_path, pending)
-            backward(parts.total)
-        grads = gather_grads(adam)
-        with np.errstate(over="ignore"):
-            finite = math.isfinite(grads.sum())
-        bad = None if finite else _first_nonfinite_grad(params.named_tensors())
-        if bad is not None:
-            _abort_step(f"non-finite gradient in {bad!r}", step, batch, out_dir,
-                        metrics_path, pending)
-        adam_step(adam, grads)
+    def draw_next():
+        return blocks.draw(rng, next_batch)
 
-        ce = parts.ce.item()
-        row = (step, "train", ce, parts.mse.item(), perplexity(ce))
-        history.append(row)
-        pending.append(row)
-        if len(pending) >= 200:
-            _append_metrics(metrics_path, pending)
+    try:
+        with Worker(blocks.serve) as blocks.worker:
+            run_validation(0)
             pending = []
+            drawn = draw_next()
+            for step in range(1, config.steps + 1):
+                # The next step's draws follow this step's in rng, as in a
+                # serial loop; they run while the worker finishes its block.
+                batch = drawn[0]
+                results, drawn = blocks.gradients(
+                    drawn, draw_next if step < config.steps else None)
+                total = sum(r[2] for r in results)
+                if not math.isfinite(total):
+                    _abort_step(f"non-finite loss {total}", step, batch, out_dir,
+                                metrics_path, pending)
+                grads = _add_in_order(blocks.grads)
+                with np.errstate(over="ignore"):
+                    finite = math.isfinite(grads.sum())
+                if not finite:
+                    # name the tensor from the summed gradient, not one block's
+                    for p, g in zip(trainables, np.split(grads, offsets)):
+                        p.grad = g.reshape(p.shape)
+                    bad = _first_nonfinite_grad(params.named_tensors())
+                    if bad is not None:
+                        _abort_step(f"non-finite gradient in {bad!r}", step, batch, out_dir,
+                                    metrics_path, pending)
+                blocks.update(grads, sorted(set.intersection(*(set(r[3]) for r in results))))
 
-        if step % config.checkpoint_interval == 0 or step == config.steps:
-            _append_metrics(metrics_path, pending)
-            pending = []
-            run_validation(step)
-            if step % config.checkpoint_interval == 0:
-                path = os.path.join(ckpt_dir, f"step-{step:08d}.ckpt")
-                save_checkpoint(path, params)
-                checkpoints.append(path)
+                ce, mse = results[0][:2]
+                for r in results[1:]:
+                    ce, mse = ce + r[0], mse + r[1]
+                row = (step, "train", float(ce), float(mse), perplexity(float(ce)))
+                history.append(row)
+                pending.append(row)
+                if len(pending) >= 200:
+                    _append_metrics(metrics_path, pending)
+                    pending = []
+
+                if step % config.checkpoint_interval == 0 or step == config.steps:
+                    _append_metrics(metrics_path, pending)
+                    pending = []
+                    run_validation(step)
+                    if step % config.checkpoint_interval == 0:
+                        path = os.path.join(ckpt_dir, f"step-{step:08d}.ckpt")
+                        save_checkpoint(path, params)
+                        checkpoints.append(path)
+    finally:
+        for p in trainables:
+            p.data = p.data.copy()
 
     _append_metrics(metrics_path, pending)
     final_path = os.path.join(ckpt_dir, "final.ckpt")
@@ -433,6 +699,8 @@ def evaluate_imputation(params: ModelParams, bags, vocab: Vocab, decode: str,
             raise ConfigError(f"{decode} decoding needs a decile model")
     else:
         raise ConfigError(f"unknown decode method {decode!r}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if not bags:
         raise ContractError("evaluate_imputation needs a nonempty test set")
 

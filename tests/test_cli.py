@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import labmlm
-from labmlm import cli, finetune
+from labmlm import cli, finetune, parallel
 from labmlm.cli import main
 from labmlm.corpus import (
     LabEvent,
@@ -306,6 +306,15 @@ class TestImpute:
         assert "vocab.json" in err
         assert not (tmp_path / "imp").exists()
 
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_batch_size_below_one_is_a_named_error(self, corpus_dir, run_dir, tmp_path,
+                                                   capsys, size):
+        assert run("impute", "--checkpoint", run_dir / "checkpoints" / "final.ckpt",
+                   "--data", corpus_dir / "pp", "--batch-size", size,
+                   "--out", tmp_path / "imp") == 1
+        assert f"--batch-size must be >= 1, got {size}" in capsys.readouterr().err
+        assert not (tmp_path / "imp").exists()
+
 
 class TestFinetune:
     def test_one_cell_grid_emits_one_row(self, corpus_dir, run_dir, tmp_path, capsys):
@@ -390,7 +399,7 @@ class TestFinetune:
         def fail(*args, **kwargs):
             raise NumericError("head diverged")
 
-        monkeypatch.setattr(finetune, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         monkeypatch.setattr(finetune, "train_head", fail)     # forked workers inherit it
         dataset, grid = self.write_task(corpus_dir, tmp_path)
         self.assert_named_failure(corpus_dir, run_dir, tmp_path, capsys, dataset, grid,
@@ -431,3 +440,17 @@ class TestDumpEmbeddings:
         bags = list(read_shards(corpus_dir / "pp" / "test"))[:10]
         assert len(rows) - 1 == sum(len(b) for b in bags)
         assert rows[1][2].startswith("C")
+
+    @pytest.mark.parametrize("flags, want", [
+        (["--batch-size", 0], "--batch-size must be >= 1, got 0"),
+        (["--batch-size", -4], "--batch-size must be >= 1, got -4"),
+        (["--limit", -1], "--limit must be >= 1, got -1"),
+        (["--limit", 0], "--limit must be >= 1, got 0"),
+    ])
+    def test_bad_sizes_are_named_errors(self, corpus_dir, run_dir, tmp_path, capsys,
+                                        flags, want):
+        out = tmp_path / "emb"
+        assert run("dump-embeddings", "--checkpoint", run_dir / "checkpoints" / "final.ckpt",
+                   "--data", corpus_dir / "pp", *flags, "--out", out) == 1
+        assert want in capsys.readouterr().err
+        assert not out.exists()

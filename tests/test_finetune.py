@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from labmlm import finetune, tape
+from labmlm import finetune, parallel, tape
 from labmlm.corpus import LabBag, build_bags, generate_synthetic_corpus, pad_batch
 from labmlm.ecdf import build_continuous_vocab, build_ecdf
 from labmlm.errors import ConfigError, DataError, NumericError
@@ -588,7 +588,7 @@ def test_golden_grid_rows(task_kind, monkeypatch):
     cfg = FinetuneConfig(task_kind=task_kind, n_classes=3, epochs_grid=(3,),
                          batch_grid=(5, 8), lr_grid=(0.01, 0.05), dropout_grid=(0.0, 0.4))
     for cpus in (1, 2):
-        monkeypatch.setattr(finetune, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         result = grid_search_finetune(base, golden_dataset(vocab, task_kind), vocab, ecdfs,
                                       cfg, k_folds=5, replicates=2, seed=4)
         assert [r["replicate_metrics"] for r in result.rows] == GOLDEN_ROWS[task_kind], cpus
@@ -599,7 +599,7 @@ def test_grid_unit_error_reaches_the_caller(monkeypatch):
     def fail(*args, **kwargs):
         raise NumericError(f"unit failed in process {os.getpid()}")
 
-    monkeypatch.setattr(finetune, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(finetune, "train_head", fail)     # forked workers inherit it
     vocab, ecdfs, _ = corpus_fixture()
     cfg = FinetuneConfig(task_kind=TASK_BINARY, epochs_grid=(2,), batch_grid=(4, 8),

@@ -2,13 +2,14 @@
 
 import csv
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 from panel_corpus import panel_corpus
 
-from labmlm import tape, training
+from labmlm import parallel, tape, training
 from labmlm.corpus import (
     LabBag,
     bag_payload_equal,
@@ -27,7 +28,8 @@ from labmlm.errors import (
     VocabError,
 )
 from labmlm.model import ModelConfig, init_params, load_checkpoint
-from labmlm.tape import TapeTensor
+from labmlm.optim import AdamState, gather_grads
+from labmlm.tape import Tape, TapeTensor
 from labmlm.training import (
     DECODE_ARGMAX,
     DECODE_CONTINUOUS,
@@ -378,6 +380,19 @@ class TestMaskDraws:
             assert all(bag_payload_equal(a, b) for a, b in zip(got, want))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_masked_batch_is_the_padded_per_bag_masking(self):
+        rng = np.random.default_rng(5)
+        bags = _bags_of_lengths(rng, rng.integers(1, 8, size=200), 9, premasked={3, 50, 51})
+        for i in (4, 52, 120):      # bags that arrive with several masks
+            bags[i] = mask_bag(bags[i], 9, rng, n_mask=len(bags[i]))
+        drawn, pos = training._draw_masks(bags, 9, np.random.default_rng(6), 1)
+        for idx in (np.arange(60), rng.integers(0, 200, size=40), [3], [7], [4, 4, 7, 3]):
+            want = pad_batch(training._masked(drawn, pos, idx, 9))
+            got = training._masked_batch(drawn, pos, np.asarray(idx), 9)
+            for name in want.__dataclass_fields__:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
     def test_empty_bag_rejected(self):
         empty = LabBag("p", 0.0, np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool))
         with pytest.raises(ContractError, match="empty bag"):
@@ -610,6 +625,131 @@ class TestEvaluateImputation:
         cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=1, num_heads=2, ff_dim=16)
         with pytest.raises(ContractError):
             evaluate_imputation(init_params(cfg, seed=0), [], vocab, DECODE_CONTINUOUS)
+
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_batch_size_below_one_rejected(self, size):
+        bags, vocab, _ = small_corpus()
+        cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=1, num_heads=2, ff_dim=16)
+        with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {size}"):
+            evaluate_imputation(init_params(cfg, seed=0), bags[:10], vocab, DECODE_CONTINUOUS,
+                                batch_size=size)
+
+
+def _run_bytes(root) -> dict:
+    """Every file a pretrain run wrote, by path relative to its directory."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestRowBlocks:
+    """Each step's batch runs as `training.BLOCKS` row blocks on the usable CPUs."""
+
+    def run(self, tmp_path, monkeypatch, name, cpus, **kw):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        bags, vocab, _ = small_corpus()
+        cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=2, num_heads=2, ff_dim=16,
+                                     dropout_rate=0.1)
+        params = init_params(cfg, seed=3)
+        tcfg = TrainConfig(steps=6, batch_size=7, learning_rate=1e-3, seed=2,
+                           checkpoint_interval=3, **kw)
+        pretrain(params, bags[:40], bags[40:63], tcfg, tmp_path / name)
+        assert multiprocessing.active_children() == []
+        return _run_bytes(tmp_path / name)
+
+    @pytest.mark.parametrize("kw", [{}, {"remask": True}, {"mask_count": 3},
+                                    {"mask_count": 2, "remask": True}, {"val_batches": 2}])
+    def test_one_and_two_cpus_write_the_same_bytes(self, tmp_path, monkeypatch, kw):
+        one = self.run(tmp_path, monkeypatch, "one", 1, **kw)
+        two = self.run(tmp_path, monkeypatch, "two", 2, **kw)
+        assert sorted(one) == ["checkpoints/final.ckpt", "checkpoints/step-00000003.ckpt",
+                               "checkpoints/step-00000006.ckpt", "metrics.csv"]
+        assert one == two
+
+    def test_three_blocks_on_one_and_two_cpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(training, "BLOCKS", 3)
+        one = self.run(tmp_path, monkeypatch, "one", 1)
+        assert one == self.run(tmp_path, monkeypatch, "two", 2)
+        monkeypatch.setattr(training, "BLOCKS", 2)
+        assert one["metrics.csv"] != self.run(tmp_path, monkeypatch, "k2", 2)["metrics.csv"]
+
+    def test_gradient_sum_runs_in_block_order(self):
+        # float32 sums that depend on the order: (a + b) + c = 1, (c + b) + a = 0
+        bufs = [np.array([v], np.float32) for v in (1e8, -1e8, 1.0)]
+        assert training._add_in_order(bufs)[0] == 1.0
+        assert bufs[0] is training._add_in_order([bufs[0]])
+
+    @pytest.mark.parametrize("mode", ["continuous", "decile"])
+    def test_blocks_add_up_to_the_batch_loss_and_gradient(self, mode):
+        """Per-block sums over the whole batch's counts give the batch's loss and gradient."""
+        events, _ = generate_synthetic_corpus(150, 5, seed=8, missing_rate=0.3)
+        counts, by_code = {}, {}
+        for e in events:
+            counts[e.code_id] = counts.get(e.code_id, 0) + 1
+            if e.value is not None:
+                by_code.setdefault(e.code_id, []).append(e.value)
+        ecdfs = {c: build_ecdf(c, np.asarray(v)) for c, v in by_code.items()}
+        vocab = (build_continuous_vocab(counts) if mode == "continuous"
+                 else build_decile_vocab(ecdfs, counts))
+        bags, _ = build_bags(events, vocab, ecdfs)
+        cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=1, num_heads=2, ff_dim=16,
+                                     dropout_rate=0.0)
+        params = init_params(cfg, seed=4, dtype=np.float64)
+        rng = np.random.default_rng(9)
+        batch = pad_batch([mask_bag(b, vocab.mask_token, rng, n_mask=min(2, len(b)))
+                           for b in bags[:13]])
+        assert batch.truth_nulls.any() or mode == "decile"
+        adam = AdamState(params.tensors(), 0.0)
+
+        with Tape():
+            whole = training._forward_and_loss(params, batch, True, None)
+            tape.backward(whole.total)
+        want = gather_grads(adam).copy()
+
+        batch_counts = training._loss_counts(batch)
+        draws = np.zeros((0, *batch.tokens.shape, cfg.d_model))
+        rows = training._row_blocks(13)
+        bufs = [np.empty_like(want) for _ in rows]
+        parts = [training._block_grads(params, adam, training._block(batch, *r), r, draws,
+                                       batch_counts, buf) for r, buf in zip(rows, bufs)]
+        assert [r[1] - r[0] for r in rows] == [6, 7]
+        assert sum(p[0] for p in parts) == pytest.approx(whole.ce.item(), rel=1e-12)
+        if mode == "continuous":
+            assert sum(p[1] for p in parts) == pytest.approx(whole.mse.item(), rel=1e-12)
+        np.testing.assert_allclose(training._add_in_order(bufs), want, rtol=1e-9, atol=1e-15)
+
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        real = training._block_grads
+
+        def fail_in_worker(*args):
+            if os.getpid() != parent:
+                raise NumericError(f"block failed in process {os.getpid()}")
+            return real(*args)
+
+        monkeypatch.setattr(training, "_block_grads", fail_in_worker)   # the fork inherits it
+        with pytest.raises(NumericError, match="block failed in process") as info:
+            self.run(tmp_path, monkeypatch, "w", 2)
+        assert int(str(info.value).split()[-1]) != parent
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_nonfinite_gradient_of_the_second_block_is_named(self, tmp_path, monkeypatch,
+                                                            cpus):
+        real = training._block_grads
+        names = [n for n, _ in init_params(ModelConfig.from_vocab(
+            small_corpus()[1], d_model=8, num_layers=2, num_heads=2, ff_dim=16)).named_tensors()]
+
+        def poison_block_one(params, adam, block, rows, draws, counts, out):
+            result = real(params, adam, block, rows, draws, counts, out)
+            if rows[0] > 0:
+                start = sum(p.size for p in adam.params[: names.index("block1.ff2_w")])
+                out[start + 5] = np.nan
+            return result
+
+        monkeypatch.setattr(training, "_block_grads", poison_block_one)
+        with pytest.raises(NumericError, match="non-finite gradient in 'block1.ff2_w' at step 1"):
+            self.run(tmp_path, monkeypatch, "nan", cpus)
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")

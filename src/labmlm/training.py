@@ -411,13 +411,10 @@ class _Blocks:
         self._turn = 0
         self._adam_out = False
 
-    def draw(self, rng, next_batch) -> tuple:
-        """(batch, arena): `next_batch()`, then its dropout uniforms from rng.
-
-        The uniforms are drawn in the order the forward asks for them, into
-        the arena the last step did not use.
+    def draw(self, rng, batch: Batch) -> tuple:
+        """(batch, arena): the batch's dropout uniforms, drawn from rng in the
+        order the forward asks for them into the arena the last step did not use.
         """
-        batch = next_batch()
         self._turn ^= 1
         rng.random(out=self._draws(self._turn, batch.tokens.shape))
         return batch, self._turn
@@ -549,7 +546,7 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
         return _masked_batch(train_bags, train_pos, idx, mask_token)
 
     def draw_next():
-        return blocks.draw(rng, next_batch)
+        return blocks.draw(rng, next_batch())
 
     try:
         with Worker(blocks.serve) as blocks.worker:

@@ -717,6 +717,34 @@ class TestRowBlocks:
             assert sum(p[1] for p in parts) == pytest.approx(whole.mse.item(), rel=1e-12)
         np.testing.assert_allclose(training._add_in_order(bufs), want, rtol=1e-9, atol=1e-15)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_blocks_match_one_unsplit_step_with_dropout(self, monkeypatch, cpus):
+        """Drawing a step's uniforms up front and handing each block its rows
+        gives the dropout masks, and the generator state, of one unsplit step."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        bags, vocab, _ = small_corpus()
+        cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=2, num_heads=2, ff_dim=16,
+                                     dropout_rate=0.3)
+        params = init_params(cfg, seed=6, dtype=np.float64)
+        batch = pad_batch([mask_bag(b, vocab.mask_token, np.random.default_rng(i))
+                           for i, b in enumerate(bags[:9])])
+        adam = AdamState(params.tensors(), 0.0)
+        serial = np.random.default_rng(11)
+        with Tape():
+            whole = training._forward_and_loss(params, batch, True, serial)
+            tape.backward(whole.total)
+        want = gather_grads(adam).copy()
+
+        tcfg = TrainConfig(steps=1, batch_size=9)
+        blocks = training._Blocks(params, adam, tcfg, batch.tokens.shape[1], bags[:9])
+        rng = np.random.default_rng(11)
+        with parallel.Worker(blocks.serve) as blocks.worker:
+            results, _ = blocks.gradients(blocks.draw(rng, batch))
+        assert rng.bit_generator.state == serial.bit_generator.state
+        assert sum(r[0] for r in results) == pytest.approx(whole.ce.item(), rel=1e-12)
+        np.testing.assert_allclose(training._add_in_order(blocks.grads), want,
+                                   rtol=1e-9, atol=1e-15)
+
     def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):
         parent = os.getpid()
         real = training._block_grads

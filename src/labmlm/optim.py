@@ -162,11 +162,11 @@ def adam_step(state: AdamState, grads: np.ndarray | None = None, skip=None,
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    lo = sum(p.size for p in state.params[:first])
-    part = slice(lo, lo + sum(p.size for p in state.params[first:stop]))
-    m, v, tmp, work = flat["m"][part], flat["v"][part], flat["scratch"][part], flat["work"][part]
-    g = g[part]
-    rate = flat["rate"][part] if np.ndim(flat["rate"]) else flat["rate"]
+    m, v, tmp, work, data, rate = (flat[k] for k in ("m", "v", "scratch", "work", "data", "rate"))
+    if span is not None:
+        part = slice(*(sum(p.size for p in state.params[:i]) for i in span))
+        m, v, tmp, work, data, g = (a[part] for a in (m, v, tmp, work, data, g))
+        rate = rate[part] if np.ndim(rate) else rate
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=tmp)
@@ -180,7 +180,7 @@ def adam_step(state: AdamState, grads: np.ndarray | None = None, skip=None,
     np.sqrt(g, out=g)
     g += state.epsilon
     work /= g
-    flat["data"][part] -= work
+    data -= work
 
     for i, mi, vi, di in kept:
         state.m[i][...] = mi

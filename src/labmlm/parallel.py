@@ -54,12 +54,13 @@ def map_on_cpus(fn, items) -> list:
     With one usable CPU, one item or no `fork` start method, the items map
     inline.
     """
-    ctx = _fork_context(min(usable_cpus(), len(items)))
+    workers = min(usable_cpus(), len(items))
+    ctx = _fork_context(workers)
     if ctx is None:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(min(usable_cpus(), len(items)), mp_context=ctx)
+    pool = ProcessPoolExecutor(workers, mp_context=ctx)
     try:
         return list(pool.map(fn, items, chunksize=1))
     finally:

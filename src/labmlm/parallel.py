@@ -83,7 +83,7 @@ class WorkerError(Exception):
 
 
 # How long a waiting process spins before it sleeps on the semaphore. Waking
-# a sleeping process took 0.3-0.5 ms on a 2-vCPU VM, where a spinning one
+# a sleeping process took 0.2-0.5 ms on a 2-vCPU VM, where a spinning one
 # answered within tens of microseconds. A pre-training step's serial work
 # (1-3 ms) fits well inside; longer waits sleep, so an idle worker does not
 # hold a CPU.

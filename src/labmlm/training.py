@@ -537,16 +537,15 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
         history.append(row)
         _append_metrics(metrics_path, [row])
 
-    def next_batch():
+    def draw_next():
         idx = rng.integers(0, len(train_bags), size=config.batch_size)
         if config.remask:
-            return pad_batch([mask_bag(unmask_bag(train_bags[i]), mask_token, rng,
-                                       n_mask=min(config.mask_count, len(train_bags[i])))
-                              for i in idx])
-        return _masked_batch(train_bags, train_pos, idx, mask_token)
-
-    def draw_next():
-        return blocks.draw(rng, next_batch())
+            batch = pad_batch([mask_bag(unmask_bag(train_bags[i]), mask_token, rng,
+                                        n_mask=min(config.mask_count, len(train_bags[i])))
+                               for i in idx])
+        else:
+            batch = _masked_batch(train_bags, train_pos, idx, mask_token)
+        return blocks.draw(rng, batch)
 
     try:
         with Worker(blocks.serve) as blocks.worker:

@@ -48,6 +48,15 @@ def test_worker_answers_in_order_and_sees_shared_writes(cpus):
     assert multiprocessing.active_children() == []
 
 
+def test_messages_larger_than_the_mailbox_go_by_pipe(cpus):
+    big = np.arange(3 * parallel.MAILBOX_BYTES // 8, dtype=np.int64)
+    with Worker(lambda request: request * 2) as worker:
+        for request in (big, np.arange(4), big):
+            worker.submit(request)
+            assert np.array_equal(worker.result(), request * 2)
+    assert multiprocessing.active_children() == []
+
+
 def test_worker_error_keeps_its_type_and_message(cpus):
     def fn(request):
         if request == "bad":

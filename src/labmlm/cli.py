@@ -46,7 +46,7 @@ from .finetune import (
     grid_search_finetune,
     load_finetune_csv,
 )
-from .model import ModelConfig, encode, init_params, load_checkpoint
+from .model import ModelConfig, check_bag_tokens, encode, init_params, load_checkpoint
 from .tape import untracked
 from .training import (
     DECODE_CONTINUOUS,
@@ -271,6 +271,8 @@ def cmd_pretrain(args, out: _Outputs) -> int:
         learning_rate=cfg["learning_rate"], seed=cfg["seed"],
         checkpoint_interval=cfg["checkpoint_interval"], mask_count=cfg["mask_count"],
         remask=cfg["remask"], val_batches=cfg["val_batches"])
+    check_bag_tokens(model_cfg, train_bags, str(data / "train"))
+    check_bag_tokens(model_cfg, val_bags, str(data / "val"))
 
     out_dir = out.mkdir(args.out)
     out.mkdir(out_dir / "checkpoints")
@@ -315,6 +317,7 @@ def cmd_impute(args, out: _Outputs) -> int:
     vocab = _load_vocab(data)
     _check_checkpoint_matches(params, args.checkpoint, vocab, data / "vocab.json")
     bags = list(read_shards(data / args.split))
+    check_bag_tokens(params.config, bags, str(data / args.split))
     decode = args.decode
     if decode is None:
         decode = DECODE_CONTINUOUS if vocab.mode == MODE_CONTINUOUS else DECODE_WEIGHTED
@@ -424,6 +427,7 @@ def cmd_dump_embeddings(args, out: _Outputs) -> int:
         bags = bags[: args.limit]
     if not bags:
         raise DataError(f"{data / args.split} holds no bags")
+    check_bag_tokens(params.config, bags, str(data / args.split))
 
     out_dir = out.mkdir(args.out)
     d = params.config.d_model

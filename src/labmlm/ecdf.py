@@ -167,14 +167,6 @@ class Vocab:
     def is_numeric(self, code: str) -> bool:
         return code in self.block_start if self.mode == MODE_DECILE else code in self.code_to_token
 
-    def missing_token(self, code: str) -> int:
-        if self.mode != MODE_DECILE:
-            raise VocabError("missing_token is a decile-mode lookup")
-        try:
-            return self.block_start[code] + 10
-        except KeyError:
-            raise VocabError(f"code {code!r} has no decile block") from None
-
     def decile_block(self, code: str) -> tuple[int, int]:
         """[start, end) token range of a numeric code's 10 decile tokens."""
         try:
@@ -300,17 +292,3 @@ def build_decile_vocab(
     )
     v._index_tokens()
     return v
-
-
-def value_to_decile_token(vocab: Vocab, code: str, p: float | None) -> int:
-    """Map an eCDF probability (or missing) into the code's token block."""
-    if vocab.mode != MODE_DECILE:
-        raise VocabError("value_to_decile_token needs a decile vocabulary")
-    if code in vocab.binary_token:
-        return vocab.binary_token[code]
-    if code not in vocab.block_start:
-        raise VocabError(f"unknown code {code!r}")
-    if p is None:
-        return vocab.missing_token(code)
-    decile = min(int(p * 10.0), 9)
-    return vocab.block_start[code] + decile

@@ -200,7 +200,7 @@ def dataset_bags(dataset: FinetuneDataset, vocab, ecdfs) -> list:
 def _pool(base: ModelParams, batch) -> np.ndarray:
     """Each bag's mean final embedding over its real positions, in the base's dtype."""
     with untracked():
-        h = encode(base, batch, training=False).data
+        h = encode(base, batch).data
     keep = (~batch.pad_mask)[:, :, None]
     return ((h * keep).sum(axis=1) / batch.lengths[:, None]).astype(h.dtype, copy=False)
 
@@ -264,36 +264,29 @@ def _per_member(a, members) -> np.ndarray:
     return a if a.ndim == 3 else np.broadcast_to(a, (members, *a.shape))
 
 
-def _member_dropout(z, rates, rngs, training) -> TapeTensor:
-    """`tape.dropout` on each member of a [M, b, width] activation.
+def _member_keep(rates, rngs, shape):
+    """[M, *shape] dropout keep masks, member m's drawn from rngs[m]; None when no rate is > 0.
 
-    Member m draws its mask from rngs[m]; a member with rate 0 draws nothing
-    and keeps every unit, as `tape.dropout` does. A single rate applies to
-    every member.
+    A member at rate 0 draws nothing and keeps every unit.
     """
-    rates = np.broadcast_to(np.asarray(rates, dtype=float), z.shape[:1])
-    for rate in rates:
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or not any(rates):
-        return z
-    draws = np.zeros(z.shape)       # a member left at 0 keeps every unit
-    for m, (rate, rng) in enumerate(zip(rates, rngs)):
+    if not rates.any():
+        return None
+    keep = np.ones((len(rngs), *shape), dtype=bool)
+    for mask, rate, rng in zip(keep, rates.ravel(), rngs):
         if rate > 0.0:
-            rng.random(out=draws[m])
-    rates = rates[:, None, None]
-    dtype = z.data.dtype
-    return tape.mul(z, (draws >= rates).astype(dtype) / (1.0 - rates).astype(dtype))
+            np.greater_equal(rng.random(shape), rate, out=mask)
+    return keep
 
 
-def head_logits(head: FinetuneHead, pooled, extras=None, training=False,
-                rng=None, dropout=0.0) -> TapeTensor:
+def head_logits(head: FinetuneHead, pooled, extras=None, keep=None,
+                dropout=0.0) -> TapeTensor:
     """[M, b] logits ([M, b, C] for multiclass) from numpy inputs.
 
     Inputs are [b, width], shared by every member, or [M, b, width], one
     batch per member. They stay constants, so they take the head's dtype and
-    get no gradient. Training dropout takes one generator per member in `rng`
-    and one rate per member, or one rate for all.
+    get no gradient. keep holds the dense layer's dropout keep masks
+    [M, b, width], or is None for no dropout; `dropout` is one rate, or an
+    (M, 1, 1) array of rates, one per member.
     """
     p = head.by_name
     x = _per_member(pooled, head.members)
@@ -305,21 +298,10 @@ def head_logits(head: FinetuneHead, pooled, extras=None, training=False,
                       + p["extra_b"])
         x = tape.concat([x, e], axis=-1)
     z = tape.relu(tape.matmul(x, p["dense_w"]) + p["dense_b"])
-    z = _member_dropout(z, dropout, rng, training)
+    z = tape.dropout(z, dropout, keep)
     logits = tape.matmul(z, p["out_w"]) + p["out_b"]
     if head.task_kind != TASK_MULTICLASS:
         logits = tape.reshape(logits, logits.shape[:-1])
-    return logits
-
-
-def finetune_forward(base: ModelParams, batch, extras, head: FinetuneHead,
-                     training=False, rng=None, dropout=0.0) -> TapeTensor:
-    """Frozen base encode, pool, head, task activation: [M, b] or [M, b, C]."""
-    logits = head_logits(head, _pool(base, batch), extras, training, rng, dropout)
-    if head.task_kind == TASK_BINARY:
-        return tape.sigmoid(logits)
-    if head.task_kind == TASK_MULTICLASS:
-        return tape.softmax(logits, axis=-1)
     return logits
 
 
@@ -335,16 +317,6 @@ def _member_losses(head: FinetuneHead, logits, labels) -> TapeTensor:
         return tape.neg(tape.tmean(tape.take_along_last(logp, ids), axis=-1))
     diff = logits - labels
     return tape.tmean(tape.mul(diff, diff), axis=-1)
-
-
-def head_loss(head: FinetuneHead, logits, labels) -> TapeTensor:
-    """The sum of the members' mean losses.
-
-    Each member's loss is a mean CE (from logits) for classification and a
-    mean squared error for regression. Summing gives each member exactly the
-    gradient it would get alone.
-    """
-    return tape.tsum(_member_losses(head, logits, labels))
 
 
 def train_head(head: FinetuneHead, pooled, extras, labels, *, epochs, batch_size,
@@ -364,8 +336,10 @@ def train_head(head: FinetuneHead, pooled, extras, labels, *, epochs, batch_size
         raise ConfigError(f"a stack of {members} heads needs {members} learning rates, "
                           "dropout rates and seeds")
     rngs = [np.random.default_rng(s) for s in seed]
+    rates = np.asarray(dropout, dtype=float).reshape(-1, 1, 1)
     tensors = head.tensors()
     dtype = head.by_name["dense_w"].data.dtype
+    width = head.by_name["dense_w"].shape[-1]
     adam = AdamState(tensors, np.asarray(learning_rate, dtype=dtype).reshape(-1, 1, 1))
     pooled = np.asarray(pooled, dtype=dtype)
     extras = None if extras is None else np.asarray(extras, dtype=dtype)
@@ -376,11 +350,11 @@ def train_head(head: FinetuneHead, pooled, extras, labels, *, epochs, batch_size
         losses = []
         for start in range(0, n, batch_size):
             idx = orders[:, start : start + batch_size]
+            keep = _member_keep(rates, rngs, (idx.shape[1], width))
             zero_param_grads(tensors)
             with Tape():
                 logits = head_logits(head, pooled[idx],
-                                     None if extras is None else extras[idx],
-                                     training=True, rng=rngs, dropout=dropout)
+                                     None if extras is None else extras[idx], keep, rates)
                 member = _member_losses(head, logits, labels[idx])
                 backward(tape.tsum(member))
             adam_step(adam)
@@ -678,8 +652,3 @@ def fit_linear_baseline(dataset: FinetuneDataset, task_kind: str,
 
     cv_metric = min(e["metric"] for e in per_c)
     return LinearBaselineResult(task_kind, cv_metric, best_c, per_c, coef, intercept)
-
-
-def mean_min_max(values) -> tuple:
-    vals = np.asarray(list(values), dtype=float)
-    return float(vals.mean()), float(vals.min()), float(vals.max())

@@ -27,6 +27,11 @@ Training, validation and imputation read only the masked positions, so they
 call `forward_masked`, which gathers each mask's canonical backbone row and
 runs the heads on those rows alone.
 
+The forwards draw nothing: a training forward takes the keep masks that
+`dropout_keep` draws (indexed in the backbone's canonical position order),
+and None means no dropout. So the caller can split one step's masks
+between row blocks.
+
 A model's dtype is its tensors' dtype: float32 by default, float64 on request
 (`init_params(..., dtype=np.float64)`), and whatever a checkpoint stores. A
 batch's values enter as a constant cast to it; the tape casts every other
@@ -46,7 +51,7 @@ from . import tape
 from .attention import attention_spec, multi_head_attention
 from .corpus import Batch, write_atomic
 from .ecdf import MODE_CONTINUOUS, MODE_DECILE
-from .errors import ConfigError, DataError, FormatError, VocabError
+from .errors import ConfigError, ContractError, DataError, FormatError, VocabError
 from .tape import TapeTensor, init_tensors
 
 CHECKPOINT_MAGIC = b"LBCP"
@@ -198,8 +203,34 @@ def count_params(config: ModelConfig):
     return sum(breakdown.values()), breakdown
 
 
-def count_params_instance(params: ModelParams) -> int:
-    return sum(t.size for t in params.tensors())
+def check_bag_tokens(config: ModelConfig, bags, where: str) -> None:
+    """Raise VocabError naming the first bag of `where` that the model cannot read.
+
+    A token at an unmasked position can be drawn as a masked truth, so it
+    must lie in [1, head_width], as every truth token must; a masked
+    position must hold the mask token. Checked up front, a bad bag is named
+    before any step runs, not on the step that happens to draw it.
+    """
+    if not bags:
+        return
+    lengths = np.array([bag.tokens.size for bag in bags], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    tokens = np.concatenate([bag.tokens for bag in bags]).astype(np.int64, copy=False)
+    n_mask = [bag.mask_positions.size for bag in bags]
+    at = (np.concatenate([bag.mask_positions for bag in bags]).astype(np.int64)
+          + np.repeat(ends - lengths, n_mask))
+    held = tokens[at]
+    tokens[at] = np.concatenate([bag.truth_tokens for bag in bags])
+    bad = (tokens < 1) | (tokens > config.head_width)
+    bad[at] |= held != config.mask_token
+    if bad.any():
+        k = int(np.argmax(bad))
+        i = int(np.searchsorted(ends, k, side="right"))
+        held_k = held[at == k]      # empty unless position k is masked
+        fault = (f"masked, but holds token {held_k[0]}, not {config.mask_token}"
+                 if held_k.size and held_k[0] != config.mask_token else
+                 f"{'truth ' * held_k.size}token {tokens[k]} outside [1, {config.head_width}]")
+        raise VocabError(f"{where} bag {i}, position {k - int(ends[i] - lengths[i])}: {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +269,48 @@ def continuous_embed(values, token_embeddings, null_flags: np.ndarray,
     return tape.layer_norm(x, p["vln_gain"], p["vln_bias"])
 
 
-def backbone_forward(x, pad_mask, params: ModelParams, training: bool = False,
-                     rng=None) -> TapeTensor:
+def dropout_shape(config: ModelConfig, batch_shape) -> tuple:
+    """The shape of a training forward's keep masks for a batch of (rows, length)."""
+    return (2 * config.num_layers, *batch_shape, config.d_model)
+
+
+def dropout_keep(config: ModelConfig, rng, batch_shape, out=None):
+    """The keep masks of one training forward, or None at dropout rate 0.
+
+    This is the one place that knows the draw schedule. Per block, the mask
+    after attention, then the one after the feedforward layer, each from one
+    `rng.random((rows, length, d_model))`; a unit survives where its uniform
+    is >= the rate. `out`, a bool array of `dropout_shape`, receives the
+    masks in place of a fresh array.
+    """
+    if config.dropout_rate == 0.0:
+        return None
+    shape = dropout_shape(config, batch_shape)
+    keep = np.empty(shape, dtype=bool) if out is None else out
+    u = np.empty(shape[1:])
+    for mask in keep:
+        rng.random(out=u)
+        np.greater_equal(u, config.dropout_rate, out=mask)
+    return keep
+
+
+def backbone_forward(x, pad_mask, params: ModelParams, keep=None) -> TapeTensor:
     """num_layers post-norm blocks; identity when num_layers is 0.
 
-    In training with dropout, each block draws `rng.random((b, L, d_model))`
-    after attention and again after the feedforward layer, and nothing else
-    draws from rng.
+    keep holds `dropout_keep`'s masks for x's rows and positions, or is None
+    for no dropout.
     """
     cfg = params.config
-    if training and cfg.dropout_rate > 0.0 and rng is None:
-        raise ConfigError("training with dropout needs an rng")
-    for blk, attn in params.blocks:
+    if keep is not None and keep.shape != dropout_shape(cfg, x.shape[:2]):
+        raise ContractError(f"keep masks of shape {keep.shape} do not fit a forward over "
+                            f"{x.shape[:2]}; expected {dropout_shape(cfg, x.shape[:2])}")
+    for i, (blk, attn) in enumerate(params.blocks):
         a = multi_head_attention(x, attn, cfg.num_heads, cfg.key_dim, pad_mask)
-        a = tape.dropout(a, cfg.dropout_rate, rng, training)
+        a = tape.dropout(a, cfg.dropout_rate, None if keep is None else keep[2 * i])
         x = tape.layer_norm(x + a, blk["ln1_gain"], blk["ln1_bias"])
         f = tape.linear(tape.relu(tape.linear(x, blk["ff1_w"], blk["ff1_b"])),
                         blk["ff2_w"], blk["ff2_b"])
-        f = tape.dropout(f, cfg.dropout_rate, rng, training)
+        f = tape.dropout(f, cfg.dropout_rate, None if keep is None else keep[2 * i + 1])
         x = tape.layer_norm(x + f, blk["ln2_gain"], blk["ln2_bias"])
     return x
 
@@ -289,7 +344,7 @@ def _canonical_perm(tokens, values, null_flags, pad_mask):
     return perm, inv
 
 
-def _encode_canonical(params: ModelParams, batch: Batch, training: bool = False, rng=None):
+def _encode_canonical(params: ModelParams, batch: Batch, keep=None):
     """Backbone output in canonical bag order, plus the inverse permutation.
 
     Everything downstream of the sort sees identical arrays for any input
@@ -310,35 +365,35 @@ def _encode_canonical(params: ModelParams, batch: Batch, training: bool = False,
     else:
         x = categorical_embed(tokens, params)
 
-    h = backbone_forward(x, pad, params, training, rng)
+    h = backbone_forward(x, pad, params, keep)
     return h, inv
 
 
-def encode(params: ModelParams, batch: Batch, training: bool = False, rng=None) -> TapeTensor:
+def encode(params: ModelParams, batch: Batch, keep=None) -> TapeTensor:
     """Embed a batch and run the backbone; output order matches the input bags."""
-    h, inv = _encode_canonical(params, batch, training, rng)
+    h, inv = _encode_canonical(params, batch, keep)
     return tape.permute_l(h, inv)
 
 
-def forward_continuous(params: ModelParams, batch: Batch, training: bool = False, rng=None):
+def forward_continuous(params: ModelParams, batch: Batch, keep=None):
     """(code_probs [b,L,C], value_preds [b,L]) for a continuous-mode batch."""
     if params.config.mode != MODE_CONTINUOUS:
         raise ConfigError(f"forward_continuous needs a continuous model, got {params.config.mode}")
-    h, inv = _encode_canonical(params, batch, training, rng)
+    h, inv = _encode_canonical(params, batch, keep)
     probs = categorical_head(h, params)
     preds = continuous_head(h, probs, params)
     return tape.permute_l(probs, inv), tape.permute_l(preds, inv)
 
 
-def forward_decile(params: ModelParams, batch: Batch, training: bool = False, rng=None):
+def forward_decile(params: ModelParams, batch: Batch, keep=None):
     """token_probs [b,L,V] for a decile-mode batch."""
     if params.config.mode != MODE_DECILE:
         raise ConfigError(f"forward_decile needs a decile model, got {params.config.mode}")
-    h, inv = _encode_canonical(params, batch, training, rng)
+    h, inv = _encode_canonical(params, batch, keep)
     return tape.permute_l(categorical_head(h, params), inv)
 
 
-def forward_masked(params: ModelParams, batch: Batch, training: bool = False, rng=None):
+def forward_masked(params: ModelParams, batch: Batch, keep=None):
     """Head outputs at the batch's masked positions only: (probs [m, C or V], preds).
 
     Row n is position (mask_rows[n], mask_cols[n]). preds [m] holds the
@@ -348,7 +403,7 @@ def forward_masked(params: ModelParams, batch: Batch, training: bool = False, rn
     same positions up to rounding, since a GEMM over m rows may round
     differently from one over every position.
     """
-    h, inv = _encode_canonical(params, batch, training, rng)
+    h, inv = _encode_canonical(params, batch, keep)
     rows = tape.take_bl(h, batch.mask_rows, inv[batch.mask_rows, batch.mask_cols])
     probs = categorical_head(rows, params)
     if params.config.mode == MODE_CONTINUOUS:

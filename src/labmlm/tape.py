@@ -174,9 +174,6 @@ class TapeTensor:
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], tuple) else shape)
 
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -388,19 +385,9 @@ def log_softmax(a, axis: int = -1) -> TapeTensor:
     return _unary(a, y, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
 
-def exp(a) -> TapeTensor:
-    y = np.exp(_data(a))
-    return _unary(a, y, lambda g: g * y)
-
-
 def log(a) -> TapeTensor:
     da = _data(a)
     return _unary(a, np.log(da), lambda g: g / da)
-
-
-def sqrt(a) -> TapeTensor:
-    y = np.sqrt(_data(a))
-    return _unary(a, y, lambda g: g / (2.0 * y))
 
 
 def tsum(a, axis=None, keepdims=False) -> TapeTensor:
@@ -491,10 +478,6 @@ def reshape(a, shape) -> TapeTensor:
     return _unary(a, da.reshape(shape), lambda g: g.reshape(da.shape))
 
 
-def swapaxes(a, ax1: int, ax2: int) -> TapeTensor:
-    return _unary(a, _data(a).swapaxes(ax1, ax2), lambda g: g.swapaxes(ax1, ax2))
-
-
 def concat(parts, axis: int = -1) -> TapeTensor:
     datas = _operands(*parts)
     out = TapeTensor(np.concatenate(datas, axis=axis))
@@ -556,20 +539,25 @@ def take_along_last(a, ids) -> TapeTensor:
     return _gather(a, (*np.indices(ids.shape, sparse=True), ids))
 
 
-def dropout(a, rate: float, rng, training: bool) -> TapeTensor:
-    """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
+def dropout(a, rate, keep) -> TapeTensor:
+    """Inverted dropout: a * keep / (1 - rate), so the expectation is unchanged.
 
-    Identity when training is false or rate is 0; expectation-preserving
-    otherwise. rate must lie in [0, 1). The mask comes from one
-    `rng.random(a.shape)` call, so rng may be anything with that method.
+    keep is a boolean mask of a's shape, True where a unit survives, or None
+    for identity. rate is a float in [0, 1), or an array of such rates that
+    broadcasts against a (one per fine-tune stack member, say). 1 - rate is
+    cast to a's dtype before it divides, so a float64 rate never widens a
+    float32 activation.
     """
-    if not 0.0 <= rate < 1.0:
+    rate = np.asarray(rate, dtype=np.float64)
+    if not (0.0 <= rate.min() and rate.max() < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if keep is None:
         return a if isinstance(a, TapeTensor) else TapeTensor(a)
     da = _data(a)
-    keep = (rng.random(da.shape) >= rate).astype(da.dtype) / (1.0 - rate)
-    return mul(a, keep)
+    if keep.dtype != bool or keep.shape != da.shape:
+        raise ContractError(f"dropout needs a boolean keep mask of shape {da.shape}, "
+                            f"got {keep.dtype} {keep.shape}")
+    return mul(a, keep.astype(da.dtype) / (1.0 - rate).astype(da.dtype))
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> TapeTensor:

@@ -7,10 +7,15 @@ supervision never leaks from unmasked inputs except through the network; the
 loop, validation and imputation therefore run the heads on the masked rows
 alone (`model.forward_masked`).
 
-`pretrain` runs each step as `BLOCKS` fixed row blocks of its batch, whose
-loss sums over the whole batch's counts add up to the batch loss. With two
-usable CPUs the second block runs in a worker forked for the call; the bits
-do not depend on the CPU count, since the blocks are fixed.
+A step's randomness is drawn before the step runs, in one process: the
+batch's bags, their mask positions and the dropout keep masks
+(`model.dropout_keep`). The forwards draw nothing. Every batch, whether for
+training, validation or imputation, is masked one way: `_masked_batch`
+writes drawn positions into the padded arrays. `pretrain` runs each step as
+`BLOCKS` fixed row blocks of its batch, whose loss sums over the whole
+batch's counts add up to the batch loss. With two usable CPUs the second
+block runs in a worker forked for the call; the bits do not depend on the
+CPU count, since the blocks are fixed.
 
 Imputation evaluation masks one valued position per test bag, predicts it,
 and reports Pearson correlations globally and per code. Decile predictions
@@ -28,10 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tape
-from .corpus import Batch, mask_bag, pad_batch, unmask_bag
+from .corpus import Batch, pad_batch, unmask_bag
 from .ecdf import MODE_CONTINUOUS, MODE_DECILE, Vocab
 from .errors import ConfigError, ContractError, DecodeError, NumericError, VocabError
-from .model import ModelParams, forward_masked, init_params, save_checkpoint
+from .model import (ModelParams, check_bag_tokens, dropout_keep, dropout_shape, forward_masked,
+                    init_params, save_checkpoint)
 from .optim import (AdamState, adam_spans, adam_step, gather_grads, share_buffers,
                     zero_param_grads)
 from .parallel import Worker, shared_array
@@ -172,50 +178,53 @@ class PretrainResult:
     metrics_path: str
 
 
-def _draw_masks(bags, mask_token, rng, mask_count):
-    """(bags, pos): where each bag gets its masks, drawn in bag order.
+def _draw_positions(lengths, rng, mask_count) -> np.ndarray:
+    """min(mask_count, L) mask positions for each bag of length L, bag after bag.
 
-    A bag that arrives masked keeps its masks. With mask_count 1, one
-    `rng.integers(0, lengths)` call draws a position for every other bag; it
-    gives the same positions, and leaves rng in the same state, as one
-    `rng.choice(L, 1, replace=False)` per bag, and `_masked` builds a masked
-    bag only when a batch draws it. With mask_count > 1 each of those bags is
-    masked here, one `mask_bag` draw per bag. pos is -1 for a bag that needs
-    no further masking.
+    With mask_count 1, one `rng.integers(0, lengths)` draws them all: the same
+    positions, and the same generator state after, as one
+    `rng.choice(L, 1, replace=False)` per bag. Otherwise each bag draws
+    `np.sort(rng.choice(L, n, replace=False))`, as `corpus.mask_bag` does.
     """
-    pos = np.full(len(bags), -1, dtype=np.int64)
-    todo = [i for i, bag in enumerate(bags) if not len(bag.mask_positions)]
-    if mask_count > 1:
-        bags = list(bags)
-        for i in todo:
-            bags[i] = mask_bag(bags[i], mask_token, rng, n_mask=min(mask_count, len(bags[i])))
-        return bags, pos
-    lengths = np.array([len(bags[i]) for i in todo], dtype=np.int64)
     if lengths.size and lengths.min() < 1:
         raise ContractError("cannot mask an empty bag")
-    pos[todo] = rng.integers(0, lengths)
-    return bags, pos
+    if mask_count == 1:
+        return rng.integers(0, lengths)
+    return np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [np.sort(rng.choice(n, size=min(mask_count, n), replace=False))
+                             for n in lengths.tolist()])
 
 
-def _masked(bags, pos, idx, mask_token):
-    """The bags at `idx`, each masked where `_draw_masks` put it."""
-    return [bags[i] if pos[i] < 0 else mask_bag(bags[i], mask_token, None, positions=[pos[i]])
-            for i in idx]
+def _draw_masks(bags, rng, mask_count) -> tuple:
+    """(first, count, cols): where each bag gets masked, drawn in bag order.
 
-
-def _masked_batch(bags, pos, idx, mask_token) -> Batch:
-    """`pad_batch(_masked(bags, pos, idx, mask_token))`, masked in the padded arrays.
-
-    A bag keeps its own masks or gets one at its `pos`; never both. Writing
-    the deferred masks into the batch costs a few array ops instead of one
-    `mask_bag` per bag.
+    Bag i gets count[i] masks, at cols[first[i] : first[i] + count[i]]. A bag
+    that arrives masked keeps its masks and gets none.
     """
-    batch = pad_batch([bags[i] for i in idx])
-    at = pos[idx]
-    rows = np.flatnonzero(at >= 0)
+    lengths = np.array([len(bag) for bag in bags], dtype=np.int64)
+    todo = np.array([not len(bag.mask_positions) for bag in bags], dtype=bool)
+    count = np.where(todo, np.minimum(mask_count, lengths), 0)
+    return np.cumsum(count) - count, count, _draw_positions(lengths[todo], rng, mask_count)
+
+
+def _take(masks, idx) -> tuple:
+    """(count, cols) of `_draw_masks`'s masks for the bags at idx, in idx order."""
+    first, count, cols = masks
+    n = count[idx]
+    return n, cols[np.repeat(first[idx] - (np.cumsum(n) - n), n) + np.arange(n.sum())]
+
+
+def _masked_batch(bags, count, cols, mask_token) -> Batch:
+    """pad_batch(bags) with count[j] masks written into row j, at its next count[j] cols.
+
+    Each row's cols are sorted and distinct, and a row that gets masks brings
+    none of its own, so the batch is `pad_batch` of the bags each masked with
+    `corpus.mask_bag` at those positions.
+    """
+    batch = pad_batch(bags)
+    rows = np.repeat(np.arange(len(count)), count)
     if not rows.size:
         return batch
-    cols = at[rows]
     truths = [a[rows, cols] for a in (batch.tokens, batch.values, batch.null_flags)]
     batch.tokens[rows, cols] = mask_token
     batch.values[rows, cols] = 0.0
@@ -229,9 +238,9 @@ def _masked_batch(bags, pos, idx, mask_token) -> Batch:
                  mask_rows[order], *merged)
 
 
-def _forward_and_loss(params, batch, training, rng, counts=None):
+def _forward_and_loss(params, batch, keep, counts=None):
     """The loss parts of a batch, or of a row block given its batch's `counts`."""
-    probs, preds = forward_masked(params, batch, training=training, rng=rng)
+    probs, preds = forward_masked(params, batch, keep)
     counts = _loss_counts(batch) if counts is None else counts
     if params.config.mode == MODE_CONTINUOUS:
         return _multitask_loss(probs, preds, batch, counts)
@@ -239,20 +248,20 @@ def _forward_and_loss(params, batch, training, rng, counts=None):
     return LossParts(ce, ce, TapeTensor(np.full((), np.nan, dtype=ce.data.dtype)))
 
 
-def _validate(params, val_bags, batch_size, max_batches=None, worker=None):
-    """Mean CE/MSE over all masked positions of the validation bags.
+def _validate(params, batches, worker=None):
+    """Mean CE/MSE over all masked positions of the validation batches.
 
-    With a forked `worker`, it scores every other batch; the sums still run
-    in batch order, so the result is the same bits.
+    With a forked `worker`, which holds the same batches, it scores every
+    other batch; the sums still run in batch order, so the result is the same
+    bits.
     """
-    starts = list(range(0, len(val_bags), batch_size))[:max_batches]
     if worker is not None and worker.forked:
-        worker.submit(("validate", starts[1::2]))
-        terms = [None] * len(starts)
-        terms[0::2] = _val_terms(params, val_bags, starts[0::2], batch_size)
+        worker.submit(("validate", slice(1, None, 2)))
+        terms = [None] * len(batches)
+        terms[0::2] = _val_terms(params, batches[0::2])
         terms[1::2] = worker.result()
     else:
-        terms = _val_terms(params, val_bags, starts, batch_size)
+        terms = _val_terms(params, batches)
     ce_sum = mse_sum = 0.0
     n_ce = n_mse = 0
     for ce, k, mse, live in terms:
@@ -266,13 +275,12 @@ def _validate(params, val_bags, batch_size, max_batches=None, worker=None):
     return ce, mse
 
 
-def _val_terms(params, val_bags, starts, batch_size) -> list:
-    """(ce, masks, mse, live masks) of the validation batch at each start."""
+def _val_terms(params, batches) -> list:
+    """(ce, masks, mse, live masks) of each validation batch."""
     terms = []
     with untracked():
-        for start in starts:
-            batch = pad_batch(val_bags[start : start + batch_size])
-            parts = _forward_and_loss(params, batch, training=False, rng=None)
+        for batch in batches:
+            parts = _forward_and_loss(params, batch, None)
             n_ce, n_mse = _loss_counts(batch)
             terms.append((parts.ce.item(), n_ce, parts.mse.item(), n_mse))
     return terms
@@ -303,14 +311,13 @@ def _first_nonfinite_grad(named):
     return None
 
 
-def _abort_step(why, step, batch, out_dir, metrics_path, pending):
-    """Dump the step's batch next to the log, flush pending rows, raise NumericError."""
+def _abort_step(why, step, batch, out_dir):
+    """Dump the step's batch next to the log and raise NumericError."""
     dump = os.path.join(out_dir, f"diagnostic-step{step}.npz")
     np.savez(dump, tokens=batch.tokens, values=batch.values,
              null_flags=batch.null_flags, pad_mask=batch.pad_mask,
              mask_rows=batch.mask_rows, mask_cols=batch.mask_cols,
              truth_tokens=batch.truth_tokens, truth_values=batch.truth_values)
-    _append_metrics(metrics_path, pending)
     raise NumericError(f"{why} at step {step}; batch dumped to {dump}")
 
 
@@ -337,38 +344,18 @@ def _block(batch: Batch, first: int, stop: int) -> Batch:
                  batch.truth_nulls[a:z])
 
 
-class _Uniforms:
-    """Stands in for the generator in a row block's forward.
-
-    The step's dropout uniforms are drawn up front, each [b, L, d_model] and
-    in the order the forward asks for them; `random(shape)` hands out the
-    block's rows of the next one.
-    """
-
-    def __init__(self, draws, rows):
-        self._draws, self._rows, self._next = draws, slice(*rows), 0
-
-    def random(self, shape):
-        if self._next == len(self._draws):
-            raise ContractError(f"the forward asked for more than {len(self._draws)} dropout draws")
-        u = self._draws[self._next][self._rows]
-        self._next += 1
-        if u.shape != tuple(shape):
-            raise ContractError(f"the forward asked for uniforms of shape {tuple(shape)}; "
-                                f"the block's drawn rows are {u.shape}")
-        return u
-
-
-def _block_grads(params, adam, block, rows, draws, counts, out):
+def _block_grads(params, adam, block, rows, keep, counts, out):
     """Forward and backward of one row block, its gradients gathered into `out`.
 
+    The block reads its `rows` of the step's keep masks (None: no dropout).
     Returns (ce, mse, total, ungraded): the block's loss parts in the model's
     dtype, its total loss as a float, and the indices of the parameters it
     gave no gradient. A block whose loss is not finite skips its backward.
     """
     zero_param_grads(adam.params)
     with Tape():
-        parts = _forward_and_loss(params, block, True, _Uniforms(draws, rows), counts)
+        parts = _forward_and_loss(params, block, None if keep is None else keep[:, slice(*rows)],
+                                  counts)
         total = parts.total.item()
         if math.isfinite(total):
             backward(parts.total)
@@ -389,39 +376,40 @@ class _Blocks:
 
     Block 0 runs in this process and the later blocks in `worker`, which is
     forked or runs them here afterwards. The gradient buffers and the two
-    uniform arenas are shared memory, mapped before the fork; `serve` is the
-    worker's side. Steps alternate arenas, so the next step's uniforms can
-    be drawn while the worker still reads this step's.
+    keep-mask arenas are shared memory, mapped before the fork; `serve` is
+    the worker's side. Steps alternate arenas, so the next step's masks can
+    be drawn while the worker still reads this step's. The worker scores
+    validation batches from `val_batches`, built before the fork.
     """
 
-    def __init__(self, params, adam, config: TrainConfig, longest: int, val_bags):
+    def __init__(self, params, adam, config: TrainConfig, longest: int, val_batches):
         cfg = params.config
-        self.params, self.adam, self.val_bags = params, adam, val_bags
-        self.batch_size = config.batch_size
+        self.params, self.adam, self.val_batches = params, adam, val_batches
         self.rows = _row_blocks(config.batch_size)
         size = sum(p.size for p in adam.params)
         self.grads = [shared_array(size, params.dtype) for _ in self.rows]
-        # The forward draws uniforms for dropout only: after attention and
-        # after the feedforward layer of each block.
-        self.n_draws = 2 * cfg.num_layers if cfg.dropout_rate > 0.0 else 0
-        self.arenas = [shared_array(self.n_draws * config.batch_size * longest * cfg.d_model,
-                                    np.float64) for _ in range(2)]
+        most = (math.prod(dropout_shape(cfg, (config.batch_size, longest)))
+                if cfg.dropout_rate > 0.0 else 0)
+        self.arenas = [shared_array(most, bool) for _ in range(2)]
         self.spans = adam_spans(adam, 2)
         self.worker = None
         self._turn = 0
         self._adam_out = False
 
     def draw(self, rng, batch: Batch) -> tuple:
-        """(batch, arena): the batch's dropout uniforms, drawn from rng in the
-        order the forward asks for them into the arena the last step did not use.
+        """(batch, arena): the batch's dropout keep masks, drawn from rng into
+        the arena the last step did not use.
         """
         self._turn ^= 1
-        rng.random(out=self._draws(self._turn, batch.tokens.shape))
+        dropout_keep(self.params.config, rng, batch.tokens.shape,
+                     out=self._keep(self._turn, batch.tokens.shape))
         return batch, self._turn
 
-    def _draws(self, arena: int, batch_shape) -> np.ndarray:
-        """A step's uniforms in `arena`, for a batch of (rows, length)."""
-        shape = (self.n_draws, *batch_shape, self.params.config.d_model)
+    def _keep(self, arena: int, batch_shape):
+        """A step's keep masks in `arena`, for a batch of (rows, length); None without dropout."""
+        if not self.arenas[arena].size:
+            return None
+        shape = dropout_shape(self.params.config, batch_shape)
         return self.arenas[arena][: math.prod(shape)].reshape(shape)
 
     def serve(self, request):
@@ -429,12 +417,12 @@ class _Blocks:
         kind, *args = request
         if kind == "grads":
             blocks, arena, batch_shape, counts = args
-            draws = self._draws(arena, batch_shape)
-            return [_block_grads(self.params, self.adam, block, self.rows[k], draws, counts,
+            keep = self._keep(arena, batch_shape)
+            return [_block_grads(self.params, self.adam, block, self.rows[k], keep, counts,
                                  self.grads[k]) for k, block in enumerate(blocks, start=1)]
         if kind == "adam":
             return adam_step(self.adam, self.grads[0], args[0], self.spans[1])
-        return _val_terms(self.params, self.val_bags, args[0], self.batch_size)
+        return _val_terms(self.params, self.val_batches[args[0]])
 
     def gradients(self, step: tuple, meanwhile=None) -> tuple:
         """(each block's `_block_grads` result in block order, `meanwhile()`).
@@ -445,12 +433,11 @@ class _Blocks:
         self.settle()
         batch, arena = step
         counts = _loss_counts(batch)
-        draws = self._draws(arena, batch.tokens.shape)
         blocks = [_block(batch, *rows) for rows in self.rows]
         if len(blocks) > 1:
             self.worker.submit(("grads", blocks[1:], arena, batch.tokens.shape, counts))
-        results = [_block_grads(self.params, self.adam, blocks[0], self.rows[0], draws, counts,
-                                self.grads[0])]
+        results = [_block_grads(self.params, self.adam, blocks[0], self.rows[0],
+                                self._keep(arena, batch.tokens.shape), counts, self.grads[0])]
         extra = meanwhile() if meanwhile is not None else None
         if len(blocks) > 1:
             results += self.worker.result()
@@ -483,25 +470,29 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
     The run trains in the dtype of `params`, at its `config.dropout_rate`.
     A rerun with the same inputs, dtype, numpy and BLAS builds and BLAS
     thread count writes byte-identical logs and checkpoints, on any number
-    of CPUs. A non-finite loss or gradient aborts before the Adam step, with
-    the offending batch dumped next to the log.
+    of CPUs. Every token of the train and validation bags is checked before
+    the first step (`model.check_bag_tokens`). A non-finite loss or gradient
+    aborts before the Adam step, with the offending batch dumped next to the
+    log. However the loop ends, every logged row reaches `metrics.csv`.
 
-    This process draws each step's batch, masks and dropout uniforms, then
-    splits the batch into `BLOCKS` fixed row blocks. Each block's CE and MSE
-    are its sums divided by the whole batch's counts, so their gradients add
-    up, in block order, to the batch loss's. With two usable CPUs a worker
-    forked inside the call runs block 1 while this process runs block 0; the
-    parameters, the Adam moments and each block's flat gradient live in
-    shared memory, and each process then steps Adam over its half of the
-    parameters. Otherwise block 1 runs here after block 0, with the same
-    bits. The worker also scores every other validation batch. It is joined
-    before the call returns or raises, and the parameters end in private
-    memory again.
+    This process draws each step's batch, mask positions and dropout keep
+    masks, then splits the batch into `BLOCKS` fixed row blocks. Each
+    block's CE and MSE are its sums divided by the whole batch's counts, so
+    their gradients add up, in block order, to the batch loss's. With two
+    usable CPUs a worker forked inside the call runs block 1 while this
+    process runs block 0; the parameters, the Adam moments and each block's
+    flat gradient live in shared memory, and each process then steps Adam
+    over its half of the parameters. Otherwise block 1 runs here after block
+    0, with the same bits. The worker also scores every other validation
+    batch; those are built once, before the fork. It is joined before the
+    call returns or raises, and the parameters end in private memory again.
     """
     if not train_bags:
         raise ContractError("pretrain needs a nonempty training set")
     if not val_bags:
         raise ContractError("pretrain needs a nonempty validation set")
+    check_bag_tokens(params.config, train_bags, "training")
+    check_bag_tokens(params.config, val_bags, "validation")
     os.makedirs(out_dir, exist_ok=True)
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -511,28 +502,35 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
 
     rng = np.random.default_rng(config.seed)
     mask_token = params.config.mask_token
-    train_bags, train_pos = _draw_masks(train_bags, mask_token, rng, config.mask_count)
-    val_bags, val_pos = _draw_masks(val_bags, mask_token, rng, config.mask_count)
-    # Validation reads the same leading bags every time: mask them once.
+    train_masks = _draw_masks(train_bags, rng, config.mask_count)
+    val_masks = _draw_masks(val_bags, rng, config.mask_count)
+    if config.remask:   # the train masks above go unused; drawing them keeps the stream
+        train_bags = [unmask_bag(bag) if len(bag.mask_positions) else bag for bag in train_bags]
+        train_lengths = np.array([len(bag) for bag in train_bags], dtype=np.int64)
+    # Validation reads the same leading bags every time: batch them once.
     n_val = len(val_bags)
     if config.val_batches is not None:
         n_val = min(n_val, config.val_batches * config.batch_size)
-    val_bags = _masked(val_bags, val_pos, range(n_val), mask_token)
+    val_batches = []
+    for start in range(0, n_val, config.batch_size):
+        idx = np.arange(start, min(start + config.batch_size, n_val))
+        val_batches.append(_masked_batch([val_bags[i] for i in idx], *_take(val_masks, idx),
+                                         mask_token))
 
     trainables = params.tensors()
     adam = AdamState(trainables, config.learning_rate)
     share_buffers(adam)
     blocks = _Blocks(params, adam, config, max(bag.tokens.size for bag in train_bags),
-                     val_bags)
+                     val_batches)
     offsets = np.cumsum([p.size for p in trainables])[:-1]
 
     history = []
     checkpoints = []
+    pending = []    # train rows not yet in metrics.csv
 
     def run_validation(step):
         blocks.settle()
-        ce, mse = _validate(params, val_bags, config.batch_size, config.val_batches,
-                            blocks.worker)
+        ce, mse = _validate(params, val_batches, blocks.worker)
         row = (step, "val", ce, mse, perplexity(ce))
         history.append(row)
         _append_metrics(metrics_path, [row])
@@ -540,17 +538,16 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
     def draw_next():
         idx = rng.integers(0, len(train_bags), size=config.batch_size)
         if config.remask:
-            batch = pad_batch([mask_bag(unmask_bag(train_bags[i]), mask_token, rng,
-                                        n_mask=min(config.mask_count, len(train_bags[i])))
-                               for i in idx])
+            lengths = train_lengths[idx]
+            masks = (np.minimum(config.mask_count, lengths),
+                     _draw_positions(lengths, rng, config.mask_count))
         else:
-            batch = _masked_batch(train_bags, train_pos, idx, mask_token)
-        return blocks.draw(rng, batch)
+            masks = _take(train_masks, idx)
+        return blocks.draw(rng, _masked_batch([train_bags[i] for i in idx], *masks, mask_token))
 
     try:
         with Worker(blocks.serve) as blocks.worker:
             run_validation(0)
-            pending = []
             drawn = draw_next()
             for step in range(1, config.steps + 1):
                 # The next step's draws follow this step's in rng, as in a
@@ -560,8 +557,7 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
                     drawn, draw_next if step < config.steps else None)
                 total = sum(r[2] for r in results)
                 if not math.isfinite(total):
-                    _abort_step(f"non-finite loss {total}", step, batch, out_dir,
-                                metrics_path, pending)
+                    _abort_step(f"non-finite loss {total}", step, batch, out_dir)
                 grads = _add_in_order(blocks.grads)
                 with np.errstate(over="ignore"):
                     finite = math.isfinite(grads.sum())
@@ -571,8 +567,7 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
                         p.grad = g.reshape(p.shape)
                     bad = _first_nonfinite_grad(params.named_tensors())
                     if bad is not None:
-                        _abort_step(f"non-finite gradient in {bad!r}", step, batch, out_dir,
-                                    metrics_path, pending)
+                        _abort_step(f"non-finite gradient in {bad!r}", step, batch, out_dir)
                 blocks.update(grads, sorted(set.intersection(*(set(r[3]) for r in results))))
 
                 ce, mse = results[0][:2]
@@ -594,10 +589,11 @@ def pretrain(params: ModelParams, train_bags, val_bags, config: TrainConfig,
                         save_checkpoint(path, params)
                         checkpoints.append(path)
     finally:
+        if pending:
+            _append_metrics(metrics_path, pending)
         for p in trainables:
             p.data = p.data.copy()
 
-    _append_metrics(metrics_path, pending)
     final_path = os.path.join(ckpt_dir, "final.ckpt")
     save_checkpoint(final_path, params)
     return PretrainResult(history, checkpoints, final_path, metrics_path)
@@ -699,6 +695,7 @@ def evaluate_imputation(params: ModelParams, bags, vocab: Vocab, decode: str,
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if not bags:
         raise ContractError("evaluate_imputation needs a nonempty test set")
+    check_bag_tokens(params.config, bags, "imputation")
 
     if ablation:
         params = init_params(params.config, seed=seed, dtype=params.dtype)
@@ -707,8 +704,10 @@ def evaluate_imputation(params: ModelParams, bags, vocab: Vocab, decode: str,
     codes, truths, preds = [], [], []
     with untracked():
         for start in range(0, len(targets), batch_size):
-            batch = pad_batch([mask_bag(bag, vocab.mask_token, None, positions=[pos])
-                               for bag, pos in targets[start : start + batch_size]])
+            chunk = targets[start : start + batch_size]
+            batch = _masked_batch([bag for bag, _ in chunk], np.ones(len(chunk), dtype=np.int64),
+                                  np.array([pos for _, pos in chunk], dtype=np.int64),
+                                  vocab.mask_token)
             probs, value_preds = forward_masked(params, batch)
             code_ids = [vocab.code_for_token(t) for t in batch.truth_tokens]
             if mode == MODE_CONTINUOUS:

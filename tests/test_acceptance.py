@@ -38,13 +38,13 @@ from labmlm.finetune import (
     FinetuneConfig,
     FinetuneDataset,
     TASK_BINARY,
+    _member_losses,
     dataset_bags,
-    finetune_forward,
     fit_linear_baseline,
     grid_search_finetune,
-    head_loss,
+    head_logits,
     init_finetune_head,
-    mean_min_max,
+    pool_embeddings,
 )
 from labmlm.model import (
     ModelConfig,
@@ -169,17 +169,13 @@ def _op_cases(rng):
         ("matmul", lambda: tape.tsum(tape.matmul(m1, m2)), [m1, m2]),
         ("relu", lambda: tape.tsum(tape.relu(a)), [a]),
         ("sigmoid", lambda: tape.tsum(tape.mul(tape.sigmoid(a), w)), [a]),
-        ("exp", lambda: tape.tsum(tape.exp(a)), [a]),
         ("log", lambda: tape.tsum(tape.log(pos)), [pos]),
-        ("sqrt", lambda: tape.tsum(tape.sqrt(pos)), [pos]),
         ("softplus", lambda: tape.tsum(tape.mul(tape.softplus(a), w)), [a]),
         ("tmean", lambda: tape.tmean(tape.mul(a, w)), [a]),
         ("softmax", lambda: tape.tsum(tape.mul(tape.softmax(a), w)), [a]),
         ("log_softmax", lambda: tape.tsum(tape.mul(tape.log_softmax(a), w)), [a]),
         ("reshape", lambda: tape.tsum(tape.mul(tape.reshape(a, (2, 96)),
                                                w.reshape(2, 96))), [a]),
-        ("swapaxes", lambda: tape.tsum(tape.mul(tape.swapaxes(a, 1, 2),
-                                                np.swapaxes(w, 1, 2))), [a]),
         ("concat", lambda: tape.tsum(tape.mul(tape.concat([a, b], axis=-1),
                                               np.concatenate([w, w], -1))), [a, b]),
         ("embedding_lookup", lambda: tape.tsum(tape.mul(
@@ -192,7 +188,7 @@ def _op_cases(rng):
         ("attention", lambda: tape.tsum(tape.mul(tape.attention(*qkv, pad, 2, 8), w_live)),
          qkv),
         ("dropout", lambda: tape.tsum(tape.dropout(
-            a, 0.3, np.random.default_rng(7), training=True)), [a]),
+            a, 0.3, np.random.default_rng(7).random(a.shape) >= 0.3)), [a]),
     ]
 
 
@@ -396,14 +392,13 @@ def test_criterion_8_finetune_protocol(corpus, continuous_run):
         # the base stays frozen: a full forward+backward leaves every base
         # parameter without a gradient
         bags = dataset_bags(dataset, vocab, ecdfs)
-        probe = pad_batch(bags[:8])
         head = init_finetune_head([np.random.default_rng(0)],
                                   base.config.d_model, 0, TASK_BINARY)
         for _, t in base.named_tensors():
             t.grad = None
         with Tape():
-            out = finetune_forward(base, probe, None, head)
-            backward(head_loss(head, out, dataset.labels[:8]))
+            logits = head_logits(head, pool_embeddings(base, bags[:8]))
+            backward(tape.tsum(_member_losses(head, logits, dataset.labels[:8])))
         assert all(t.grad is None for _, t in base.named_tensors())
         assert all(t.grad is not None for t in head.tensors())
 
@@ -416,11 +411,10 @@ def test_criterion_8_finetune_protocol(corpus, continuous_run):
         baseline_ces = [fit_linear_baseline(dataset, TASK_BINARY,
                                             k_folds=5, seed=rep).cv_metric
                         for rep in range(5)]
-        table = [
-            ("transformer head (frozen base)",
-             mean_min_max(result.best["replicate_metrics"])),
-            ("logistic regression", mean_min_max(baseline_ces)),
-        ]
+        table = [(name, (float(np.mean(ces)), float(np.min(ces)), float(np.max(ces))))
+                 for name, ces in (("transformer head (frozen base)",
+                                    result.best["replicate_metrics"]),
+                                   ("logistic regression", baseline_ces))]
         _announce("")
         _announce(f"{'model':38s}  ce mean (min, max), 5 replicates")
         for name, (m, lo, hi) in table:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,9 +21,11 @@ from labmlm.corpus import (
     generate_outcome_dataset,
     generate_synthetic_corpus,
     read_events_csv,
+    read_shards,
     split_patients,
     write_events_csv,
     write_outcome_csv,
+    write_shards,
 )
 from labmlm.ecdf import Vocab
 from labmlm.errors import NumericError
@@ -453,4 +456,40 @@ class TestDumpEmbeddings:
         assert run("dump-embeddings", "--checkpoint", run_dir / "checkpoints" / "final.ckpt",
                    "--data", corpus_dir / "pp", *flags, "--out", out) == 1
         assert want in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _corrupt_split(corpus_dir, tmp_path, split):
+    """A copy of the preprocessed corpus whose `split` has token 999 in bag 3, position 1."""
+    data = tmp_path / "bad"
+    shutil.copytree(corpus_dir / "pp", data)
+    bags = list(read_shards(data / split))
+    bags[3].tokens[1] = 999
+    shutil.rmtree(data / split)
+    write_shards(bags, data / split, split=split)
+    return data
+
+
+class TestOutOfRangeTokens:
+    """A bad token fails the command before any output, naming its split and bag."""
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_pretrain(self, corpus_dir, tmp_path, capsys, split):
+        data = _corrupt_split(corpus_dir, tmp_path, split)
+        out = tmp_path / "run"
+        assert run("pretrain", "--data", data, "--out", out, "--d-model", 8,
+                   "--num-layers", 1, "--num-heads", 2, "--ff-dim", 16, "--steps", 3,
+                   "--batch-size", 4) == 1
+        err = capsys.readouterr().err
+        assert f"{data / split} bag 3, position 1: token 999 outside [1, " in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["impute", "dump-embeddings"])
+    def test_reading_a_split(self, corpus_dir, run_dir, tmp_path, capsys, command):
+        data = _corrupt_split(corpus_dir, tmp_path, "test")
+        out = tmp_path / "out"
+        assert run(command, "--checkpoint", run_dir / "checkpoints" / "final.ckpt",
+                   "--data", data, "--split", "test", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"{data / 'test'} bag 3, position 1: token 999 outside [1, " in err, err
         assert not out.exists()

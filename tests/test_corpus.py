@@ -276,7 +276,7 @@ class TestBuildBags:
         start_a, _ = vocab.decile_block("A")
         start_b, _ = vocab.decile_block("B")
         np.testing.assert_array_equal(
-            bag.tokens, [start_a + 1, start_b + 9, vocab.missing_token("A")]
+            bag.tokens, [start_a + 1, start_b + 9, start_a + 10]      # A's missing slot
         )
         np.testing.assert_array_equal(bag.null_flags, [False, False, True])
         assert bag.values[0] == 0.1 and bag.values[1] == 1.0
@@ -498,7 +498,7 @@ class TestGradientThroughPadding:
 
         def loss(values):
             batch.values = values
-            probs, preds = forward_continuous(params, batch, training=False)
+            probs, preds = forward_continuous(params, batch)
             return multitask_loss(probs, preds, batch).total.item()
 
         values = batch.values.copy()

@@ -16,8 +16,8 @@ from labmlm.ecdf import (
     ecdf_invert,
     load_ecdfs,
     save_ecdfs,
-    value_to_decile_token,
 )
+from labmlm.corpus import LabEvent, build_bags
 from labmlm.errors import ConfigError, ContractError, DataError, VocabError
 
 
@@ -195,9 +195,9 @@ class TestDecileVocab:
     def test_block_layout(self):
         v = self._vocab(2)
         assert v.decile_block("N000") == (1, 11)
-        assert v.missing_token("N000") == 11
+        assert v.code_for_token(11) == "N000"       # the missing-value slot
         assert v.decile_block("N001") == (12, 22)
-        assert v.missing_token("N001") == 22
+        assert v.code_for_token(22) == "N001"
         assert v.mask_token == 23
 
     def test_single_numeric_code(self):
@@ -218,7 +218,7 @@ class TestDecileVocab:
         seen = {}
         for code in v.block_start:
             start, end = v.decile_block(code)
-            for t in list(range(start, end)) + [v.missing_token(code)]:
+            for t in range(start, end + 1):      # ten deciles, then the missing slot
                 assert t not in seen
                 seen[t] = code
                 assert v.code_for_token(t) == code
@@ -229,27 +229,24 @@ class TestDecileVocab:
 
 
 class TestDecileTokens:
-    def _v(self):
+    """Decile tokens as `build_bags` assigns them from each value's eCDF probability."""
+
+    def _tokens(self, values):
         counts = {"A": 10, "B": 5}
         ecdfs = {c: build_ecdf(c, range(10)) for c in counts}
-        return build_decile_vocab(ecdfs, counts)
+        v = build_decile_vocab(ecdfs, counts)
+        events = [LabEvent("P", 0, "A", x) for x in values] + [LabEvent("P", 0, "B", 1.0)] * 2
+        (bag,), _ = build_bags(events, v, ecdfs)
+        return v, bag.tokens[: len(values)]
 
     def test_boundaries(self):
-        v = self._v()
+        v, tokens = self._tokens([-1.0, 9.0, 2.5, None])    # p = 0, 1 (clamped), 0.3, missing
         start, _ = v.decile_block("A")
-        assert value_to_decile_token(v, "A", 0.0) == start
-        assert value_to_decile_token(v, "A", 1.0) == start + 9  # clamped
-        assert value_to_decile_token(v, "A", 0.35) == start + 3
-        assert value_to_decile_token(v, "A", None) == v.missing_token("A")
-
-    def test_unknown_code_rejected(self):
-        with pytest.raises(VocabError):
-            value_to_decile_token(self._v(), "Z", 0.5)
+        assert tokens.tolist() == [start, start + 9, start + 3, start + 10]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.floats(0.0, 1.0))
-    def test_every_probability_maps_into_the_block(self, p):
-        v = self._v()
-        tok = value_to_decile_token(v, "A", p)
+    @given(st.floats(-5.0, 15.0))
+    def test_every_probability_maps_into_the_block(self, x):
+        v, tokens = self._tokens([x])
         start, end = v.decile_block("A")
-        assert start <= tok < end
+        assert start <= tokens[0] < end

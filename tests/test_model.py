@@ -15,7 +15,7 @@ import pytest
 
 from labmlm import corpus, tape
 from labmlm.corpus import Batch, LabBag, mask_bag, pad_batch
-from labmlm.errors import ConfigError, DataError, FormatError, VocabError
+from labmlm.errors import ConfigError, ContractError, DataError, FormatError, VocabError
 from labmlm.finetune import init_finetune_head
 from labmlm.model import (
     ModelConfig,
@@ -25,7 +25,8 @@ from labmlm.model import (
     continuous_embed,
     continuous_head,
     count_params,
-    count_params_instance,
+    dropout_keep,
+    dropout_shape,
     forward_continuous,
     forward_decile,
     forward_masked,
@@ -214,13 +215,31 @@ class TestBackbone:
         want = _block_oracle(x, params.by_name, "block0.", cfg.num_heads, cfg.key_dim, pad)
         assert np.max(np.abs(got - want)) < 1e-9
 
-    def test_training_with_dropout_needs_rng(self):
-        cfg = tiny_config()
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dropout_keep_is_one_uniform_draw_per_mask(self, seed):
+        """Mask by mask, the same bits and generator state as one draw of every uniform."""
+        cfg = tiny_config(num_layers=3, dropout_rate=0.3)
+        shape = (5, 7)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        keep = dropout_keep(cfg, rng, shape)
+        u = ref.random(dropout_shape(cfg, shape))
+        assert keep.dtype == bool and np.array_equal(keep, u >= 0.3)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        out = np.zeros(dropout_shape(cfg, shape), dtype=bool)
+        assert dropout_keep(cfg, np.random.default_rng(seed), shape, out=out) is out
+        assert np.array_equal(out, keep)
+
+    def test_keep_masks_must_fit_the_forward(self):
+        cfg = tiny_config(num_layers=2)
         params = init_params(cfg, seed=0)
-        x = TapeTensor(np.zeros((1, 2, cfg.d_model)))
+        x = TapeTensor(np.zeros((1, 2, cfg.d_model), dtype=np.float32))
         pad = np.zeros((1, 2), dtype=bool)
-        with pytest.raises(ConfigError):
-            backbone_forward(x, pad, params, training=True)
+        keep = dropout_keep(cfg, np.random.default_rng(0), (1, 2))
+        assert keep.shape == dropout_shape(cfg, (1, 2)) == (4, 1, 2, cfg.d_model)
+        backbone_forward(x, pad, params, keep)
+        for bad in (keep[:3], keep[:, :, :1]):
+            with pytest.raises(ContractError, match="do not fit a forward over"):
+                backbone_forward(x, pad, params, bad)
 
 
 def _softmax_np(s, axis=-1):
@@ -437,9 +456,11 @@ class TestForwards:
         a = forward_continuous(params, batch)[1].data
         b = forward_continuous(params, batch)[1].data
         assert np.array_equal(a, b)
-        c = forward_continuous(params, batch, training=True,
-                               rng=np.random.default_rng(0))[1].data
+        keep = dropout_keep(cfg, np.random.default_rng(0), batch.tokens.shape)
+        c = forward_continuous(params, batch, keep)[1].data
         assert not np.array_equal(a, c)
+        assert dropout_keep(tiny_config(dropout_rate=0.0), np.random.default_rng(0),
+                            batch.tokens.shape) is None
 
 
 class TestForwardMasked:
@@ -592,13 +613,13 @@ class TestFloat32:
             add(self, out, fn)
 
         monkeypatch.setattr(Tape, "_add", record)
+        keep = dropout_keep(cfg, rng, batch.tokens.shape)
         with Tape():
             if cont:
-                probs, preds = forward_continuous(params, batch, training=True, rng=rng)
+                probs, preds = forward_continuous(params, batch, keep)
                 loss = multitask_loss(probs, preds, batch).total
             else:
-                loss = decile_mlm_loss(forward_decile(params, batch, training=True, rng=rng),
-                                       batch)
+                loss = decile_mlm_loss(forward_decile(params, batch, keep), batch)
         backward(loss)
         adam_step(adam)
         assert recorded and set(recorded) == {np.dtype(np.float32)}
@@ -649,7 +670,7 @@ class TestCountParams:
                     tiny_config(mode="decile", vocab_size=34, num_layers=2)):
             total, _ = count_params(cfg)
             params = init_params(cfg, seed=0)
-            assert total == count_params_instance(params)
+            assert total == sum(t.size for t in params.tensors())
             assert ([(name, shape) for name, shape, _ in param_spec(cfg)]
                     == [(name, t.shape) for name, t in params.named_tensors()])
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from labmlm.errors import ConfigError, ContractError, DimensionError, NumericError
 from labmlm import tape
-from labmlm.model import forward_continuous, init_params
+from labmlm.model import dropout_keep, forward_continuous, init_params
 from labmlm.optim import AdamState, adam_step, zero_param_grads
 from labmlm.tape import Tape, TapeTensor, backward
 from labmlm.training import multitask_loss
@@ -193,7 +193,8 @@ def _train_peak_bytes(steps):
         for _ in range(steps):
             zero_param_grads(params.tensors())
             with Tape():
-                probs, preds = forward_continuous(params, batch, training=True, rng=rng)
+                probs, preds = forward_continuous(params, batch,
+                                                  dropout_keep(cfg, rng, batch.tokens.shape))
                 loss = multitask_loss(probs, preds, batch).total
             backward(loss)
             adam_step(adam)
@@ -219,8 +220,8 @@ class TestGradChecks:
         y = TapeTensor(rng.uniform(0.5, 2.0, size=(3, 4)), trainable=True, name="y")
 
         def f():
-            z = tape.log(x) + tape.sqrt(y) * tape.sigmoid(x * y)
-            z = tape.exp(z * 0.3) + tape.relu(x - y)
+            z = tape.log(x) + tape.log(y) * tape.sigmoid(x * y)
+            z = tape.softplus(z * 0.3) + tape.relu(x - y)
             return z.mean()
 
         assert_grads_close(f, [x, y])
@@ -330,36 +331,58 @@ class TestGradChecks:
             assert_grads_close(f, [a, b])
 
 
+def _keep(rng, shape, rate):
+    return rng.random(shape) >= rate
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = TapeTensor(np.arange(12.0).reshape(3, 4))
-        y = tape.dropout(x, 0.0, np.random.default_rng(0), training=True)
+        y = tape.dropout(x, 0.0, np.ones((3, 4), dtype=bool))
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_eval_mode_is_identity(self):
         x = TapeTensor(np.arange(12.0).reshape(3, 4))
-        y = tape.dropout(x, 0.9, np.random.default_rng(0), training=False)
+        y = tape.dropout(x, 0.9, None)
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_drop_statistics(self):
         rng = np.random.default_rng(3)
         x = TapeTensor(np.ones((400, 400)))
-        y = tape.dropout(x, 0.5, rng, training=True).data
+        y = tape.dropout(x, 0.5, _keep(rng, x.shape, 0.5)).data
         dropped = np.mean(y == 0.0)
         assert abs(dropped - 0.5) < 0.02
         assert abs(y.mean() - 1.0) < 0.02  # inverted scaling preserves expectation
 
     def test_invalid_rate(self):
         x = TapeTensor(np.ones(3))
-        for rate in (-0.1, 1.0, 1.5):
+        for rate in (-0.1, 1.0, 1.5, [0.1, 1.0]):
             with pytest.raises(ConfigError):
-                tape.dropout(x, rate, np.random.default_rng(0), training=True)
+                tape.dropout(x, rate, np.ones(3, dtype=bool))
 
     def test_same_seed_bit_identical(self):
         x = TapeTensor(np.ones((8, 8)))
-        y1 = tape.dropout(x, 0.3, np.random.default_rng(9), training=True).data
-        y2 = tape.dropout(x, 0.3, np.random.default_rng(9), training=True).data
+        y1 = tape.dropout(x, 0.3, _keep(np.random.default_rng(9), x.shape, 0.3)).data
+        y2 = tape.dropout(x, 0.3, _keep(np.random.default_rng(9), x.shape, 0.3)).data
         np.testing.assert_array_equal(y1, y2)
+
+    def test_keep_mask_must_be_boolean_and_fit(self):
+        x = TapeTensor(np.ones((2, 3)))
+        for keep in (np.ones((2, 3)), np.ones((3, 2), dtype=bool)):
+            with pytest.raises(ContractError, match="boolean keep mask of shape"):
+                tape.dropout(x, 0.5, keep)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rates_per_member_scale_in_the_tensor_dtype(self, dtype):
+        """An (M, 1, 1) float64 rate array divides in the activation's dtype."""
+        x = TapeTensor(np.ones((2, 3, 4), dtype=dtype))
+        keep = np.ones(x.shape, dtype=bool)
+        keep[1, 0, 0] = False
+        rates = np.array([0.0, 0.3]).reshape(-1, 1, 1)
+        y = tape.dropout(x, rates, keep).data
+        assert y.dtype == dtype
+        np.testing.assert_array_equal(y[0], 1)
+        assert y[1, 0, 0] == 0 and y[1, 2, 3] == dtype(1) / dtype(0.7)
 
 
 class TestUntracked:
@@ -453,18 +476,23 @@ class TestFusedLayerNorm:
                             TapeTensor(np.zeros(bias_shape)))
 
 
+def _swapaxes(t, ax1, ax2):
+    """The tape's swapaxes op, which the fused attention node made unused."""
+    return tape._unary(t, t.data.swapaxes(ax1, ax2), lambda g: g.swapaxes(ax1, ax2))
+
+
 def _composite_attention(q, k, v, pad, num_heads, key_dim):
     """The tape ops attention recorded one by one before it was fused."""
     b, L, width = q.shape
 
     def split(t):
-        return tape.swapaxes(tape.reshape(t, (b, L, num_heads, key_dim)), 1, 2)
+        return _swapaxes(tape.reshape(t, (b, L, num_heads, key_dim)), 1, 2)
 
-    scores = tape.matmul(split(q), tape.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(key_dim))
+    scores = tape.matmul(split(q), _swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(key_dim))
     if pad.any():
         scores = scores + np.where(pad, tape.PAD_LOGIT, 0.0)[:, None, None, :]
     ctx = tape.matmul(tape.softmax(scores, axis=-1), split(v))
-    return tape.reshape(tape.swapaxes(ctx, 1, 2), (b, L, width))
+    return tape.reshape(_swapaxes(ctx, 1, 2), (b, L, width))
 
 
 class TestFusedAttention:
@@ -553,14 +581,14 @@ def _acceptance_step_nodes(mode, step):
                      rng.uniform(0.0, 1.0, size=L), np.zeros(L, dtype=bool))
         bags.append(mask_bag(bag, cfg.mask_token, rng))
     batch = pad_batch(bags)
+    keep = dropout_keep(cfg, rng, batch.tokens.shape)
     with Tape() as t:
         if step == "training":
-            training._forward_and_loss(params, batch, training=True, rng=rng)
+            training._forward_and_loss(params, batch, keep)
         elif mode == "continuous":
-            multitask_loss(*forward_continuous(params, batch, training=True, rng=rng), batch)
+            multitask_loss(*forward_continuous(params, batch, keep), batch)
         else:
-            training.decile_mlm_loss(forward_decile(params, batch, training=True, rng=rng),
-                                     batch)
+            training.decile_mlm_loss(forward_decile(params, batch, keep), batch)
     return len(t)
 
 
@@ -602,7 +630,7 @@ class TestDtypeRule:
                     tape.layer_norm(t, np.ones(3), np.zeros(3)), tape.tmean(t),
                     tape.concat([t, const], axis=-1), tape.relu(t), tape.sigmoid(t),
                     tape.softmax(t), tape.log_softmax(t), tape.softplus(t),
-                    tape.dropout(t, 0.5, rng, training=True)]
+                    tape.dropout(t, 0.5, rng.random(t.shape) >= 0.5)]
             loss = tape.tsum(tape.concat([o.reshape(-1) for o in outs], axis=0))
         backward(loss)
         assert [o.data.dtype for o in outs] == [np.dtype(dtype)] * len(outs)

@@ -1,6 +1,8 @@
 """Loss, metric, decoding, pre-training loop, and imputation-report tests."""
 
 import csv
+import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -27,7 +29,7 @@ from labmlm.errors import (
     NumericError,
     VocabError,
 )
-from labmlm.model import ModelConfig, init_params, load_checkpoint
+from labmlm.model import ModelConfig, check_bag_tokens, init_params, load_checkpoint
 from labmlm.optim import AdamState, gather_grads
 from labmlm.tape import Tape, TapeTensor
 from labmlm.training import (
@@ -331,8 +333,15 @@ def _bags_of_lengths(rng, lengths, mask_token, premasked=()):
     return bags
 
 
+def _assert_same_batch(got, want):
+    for name in want.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 class TestMaskDraws:
-    """One rng.integers call gives the masks one mask_bag call per bag gave."""
+    """Drawn positions written into the padded batch give the batches that
+    masking each bag with `corpus.mask_bag` gives, from the same draws."""
 
     def _per_bag(self, bags, rng, mask_count=1):
         return [b if len(b.mask_positions) else mask_bag(b, 9, rng, n_mask=min(mask_count, len(b)))
@@ -345,58 +354,69 @@ class TestMaskDraws:
         bags = _bags_of_lengths(np.random.default_rng(1), lengths, 9, premasked=premasked)
         ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
         want = self._per_bag(bags, ref_rng, mask_count)
-        drawn, pos = training._draw_masks(bags, 9, rng, mask_count)
-        got = training._masked(drawn, pos, range(len(bags)), 9)
-        assert all(bag_payload_equal(a, b) for a, b in zip(got, want))
+        masks = training._draw_masks(bags, rng, mask_count)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # with one mask per bag, the unmasked bags stay unmasked until drawn
-        deferred = np.flatnonzero(pos >= 0)
-        assert len(deferred) == (0 if mask_count > 1 else len(bags) - len(premasked))
-        assert all(not len(drawn[i].mask_positions) for i in deferred)
+        everything = np.arange(len(bags))
+        _assert_same_batch(training._masked_batch(bags, *training._take(masks, everything), 9),
+                           pad_batch(want))
+        # a bag that arrives masked keeps its masks and gets none drawn
+        assert not masks[1][sorted(premasked)].any()
 
     @pytest.mark.parametrize("remask", [False, True])
     def test_pretrain_batches_match_per_bag_masking(self, remask):
         """pretrain's batch sequence, with and without remask, is the per-bag one."""
-        rng0 = np.random.default_rng(3)
-        train = _bags_of_lengths(rng0, rng0.integers(1, 8, size=300), 9, premasked={4, 5, 90})
-        val = _bags_of_lengths(rng0, rng0.integers(1, 8, size=40), 9)
-        ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
-        ref_train = self._per_bag(train, ref_rng)
-        ref_val = self._per_bag(val, ref_rng)
-        train_bags, train_pos = training._draw_masks(train, 9, rng, 1)
-        val_bags, val_pos = training._draw_masks(val, 9, rng, 1)
-        val_got = training._masked(val_bags, val_pos, range(len(val)), 9)
-        assert all(bag_payload_equal(a, b) for a, b in zip(val_got, ref_val))
-        for _ in range(20):
-            idx = rng.integers(0, len(train), size=16)
-            ref_idx = ref_rng.integers(0, len(train), size=16)
-            assert np.array_equal(idx, ref_idx)
-            if remask:
-                got = [mask_bag(unmask_bag(train_bags[i]), 9, rng) for i in idx]
-                want = [mask_bag(unmask_bag(ref_train[i]), 9, ref_rng) for i in idx]
-            else:
-                got = training._masked(train_bags, train_pos, idx, 9)
-                want = [ref_train[i] for i in idx]
-            assert all(bag_payload_equal(a, b) for a, b in zip(got, want))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for mask_count in (1, 3):
+            rng0 = np.random.default_rng(3)
+            train = _bags_of_lengths(rng0, rng0.integers(1, 8, size=300), 9,
+                                     premasked={4, 5, 90})
+            val = _bags_of_lengths(rng0, rng0.integers(1, 8, size=40), 9, premasked={7})
+            ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+            ref_train = self._per_bag(train, ref_rng, mask_count)
+            ref_val = self._per_bag(val, ref_rng, mask_count)
+            train_masks = training._draw_masks(train, rng, mask_count)
+            val_masks = training._draw_masks(val, rng, mask_count)
+            val_idx = np.arange(len(val))
+            _assert_same_batch(training._masked_batch(val, *training._take(val_masks, val_idx), 9),
+                               pad_batch(ref_val))
+            unmasked = [unmask_bag(b) if len(b.mask_positions) else b for b in train]
+            lengths = np.array([len(b) for b in train])
+            for _ in range(20):
+                idx = rng.integers(0, len(train), size=16)
+                assert np.array_equal(idx, ref_rng.integers(0, len(train), size=16))
+                if remask:
+                    got = training._masked_batch(
+                        [unmasked[i] for i in idx], np.minimum(mask_count, lengths[idx]),
+                        training._draw_positions(lengths[idx], rng, mask_count), 9)
+                    want = [mask_bag(unmask_bag(ref_train[i]), 9, ref_rng,
+                                     n_mask=min(mask_count, len(ref_train[i]))) for i in idx]
+                else:
+                    got = training._masked_batch([train[i] for i in idx],
+                                                 *training._take(train_masks, idx), 9)
+                    want = [ref_train[i] for i in idx]
+                _assert_same_batch(got, pad_batch(want))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_masked_batch_is_the_padded_per_bag_masking(self):
         rng = np.random.default_rng(5)
         bags = _bags_of_lengths(rng, rng.integers(1, 8, size=200), 9, premasked={3, 50, 51})
         for i in (4, 52, 120):      # bags that arrive with several masks
             bags[i] = mask_bag(bags[i], 9, rng, n_mask=len(bags[i]))
-        drawn, pos = training._draw_masks(bags, 9, np.random.default_rng(6), 1)
-        for idx in (np.arange(60), rng.integers(0, 200, size=40), [3], [7], [4, 4, 7, 3]):
-            want = pad_batch(training._masked(drawn, pos, idx, 9))
-            got = training._masked_batch(drawn, pos, np.asarray(idx), 9)
-            for name in want.__dataclass_fields__:
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for mask_count in (1, 2):
+            masks = training._draw_masks(bags, np.random.default_rng(6), mask_count)
+            first, count, cols = masks
+            for idx in (np.arange(60), rng.integers(0, 200, size=40), [3], [7], [4, 4, 7, 3]):
+                want = [mask_bag(bags[i], 9, None, n_mask=count[i],
+                                 positions=cols[first[i] : first[i] + count[i]])
+                        if count[i] else bags[i] for i in idx]
+                got = training._masked_batch([bags[i] for i in idx],
+                                             *training._take(masks, np.asarray(idx)), 9)
+                _assert_same_batch(got, pad_batch(want))
 
     def test_empty_bag_rejected(self):
         empty = LabBag("p", 0.0, np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool))
-        with pytest.raises(ContractError, match="empty bag"):
-            training._draw_masks([empty], 9, np.random.default_rng(0), 1)
+        for mask_count in (1, 3):
+            with pytest.raises(ContractError, match="empty bag"):
+                training._draw_masks([empty], np.random.default_rng(0), mask_count)
 
 
 class TestPretrain:
@@ -525,6 +545,57 @@ class TestPretrain:
             pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
         assert params.config.to_dict() == before
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_out_of_range_token_named_before_any_step(self, tmp_path, split):
+        params, bags, _ = self.model_and_bags()
+        train, val = list(bags[:20]), list(bags[20:24])
+        bad = train if split == "training" else val
+        bad[2] = LabBag("p", 0.0, np.array([1, 999, 2]), np.full(3, 0.5), np.zeros(3, bool))
+        cfg = TrainConfig(steps=2, batch_size=4, learning_rate=1e-3, seed=5)
+        width = params.config.head_width
+        with pytest.raises(VocabError, match=rf"^{split} bag 2, position 1: token 999 "
+                                             rf"outside \[1, {width}\]$"):
+            pretrain(params, train, val, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_masked_positions_and_truths_checked(self):
+        params, bags, _ = self.model_and_bags()
+        cfg, mask = params.config, params.config.mask_token
+        bag = LabBag("p", 0.0, np.array([1, 2, 3]), np.full(3, 0.5), np.zeros(3, bool))
+        masked = mask_bag(bag, mask, None, positions=[1])
+        check_bag_tokens(cfg, [bag, masked], "x")
+        wrong_mask = mask_bag(bag, mask - 1, None, positions=[1])
+        with pytest.raises(VocabError, match=rf"^x bag 1, position 1: masked, but holds "
+                                             rf"token {mask - 1}, not {mask}$"):
+            check_bag_tokens(cfg, [bag, wrong_mask], "x")
+        masked.truth_tokens[0] = 0
+        with pytest.raises(VocabError, match=r"^x bag 0, position 1: truth token 0 outside"):
+            check_bag_tokens(cfg, [masked], "x")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_logged_before_a_failure_are_kept(self, tmp_path, monkeypatch, cpus):
+        """An exception at step 5 leaves steps 1-4 in metrics.csv, after step 0's val row."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        params, bags, _ = self.model_and_bags()
+        real, calls = training.adam_step, []
+
+        def fail_at_step_5(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+                if len(calls) == 5:
+                    raise RuntimeError("stopped at step 5")
+            return real(*args)
+
+        parent = os.getpid()
+        monkeypatch.setattr(training, "adam_step", fail_at_step_5)
+        cfg = TrainConfig(steps=10, batch_size=4, learning_rate=1e-3, seed=5)
+        with pytest.raises(RuntimeError, match="stopped at step 5"):
+            pretrain(params, bags[:20], bags[20:24], cfg, tmp_path / "run")
+        with open(tmp_path / "run" / "metrics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[0], r[1]) for r in rows] == [("0", "val")] + [(str(k), "train")
+                                                                for k in range(1, 5)]
+
     def test_empty_sets_rejected(self, tmp_path):
         params, bags, _ = self.model_and_bags()
         cfg = TrainConfig(steps=1, batch_size=2)
@@ -620,6 +691,14 @@ class TestEvaluateImputation:
         assert len(got) == len(want_bags)
         assert all(bag_payload_equal(a, b) for (a, _), b in zip(got, want_bags))
 
+    def test_out_of_range_token_named(self):
+        bags, vocab, _ = small_corpus()
+        cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=1, num_heads=2, ff_dim=16)
+        bags = list(bags[:10])
+        bags[6] = LabBag("p", 0.0, np.array([1, 2, 0]), np.full(3, 0.5), np.zeros(3, bool))
+        with pytest.raises(VocabError, match=r"^imputation bag 6, position 2: token 0 outside"):
+            evaluate_imputation(init_params(cfg, seed=0), bags, vocab, DECODE_CONTINUOUS)
+
     def test_empty_test_set_rejected(self):
         bags, vocab, _ = small_corpus()
         cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=1, num_heads=2, ff_dim=16)
@@ -701,15 +780,14 @@ class TestRowBlocks:
         adam = AdamState(params.tensors(), 0.0)
 
         with Tape():
-            whole = training._forward_and_loss(params, batch, True, None)
+            whole = training._forward_and_loss(params, batch, None)
             tape.backward(whole.total)
         want = gather_grads(adam).copy()
 
         batch_counts = training._loss_counts(batch)
-        draws = np.zeros((0, *batch.tokens.shape, cfg.d_model))
         rows = training._row_blocks(13)
         bufs = [np.empty_like(want) for _ in rows]
-        parts = [training._block_grads(params, adam, training._block(batch, *r), r, draws,
+        parts = [training._block_grads(params, adam, training._block(batch, *r), r, None,
                                        batch_counts, buf) for r, buf in zip(rows, bufs)]
         assert [r[1] - r[0] for r in rows] == [6, 7]
         assert sum(p[0] for p in parts) == pytest.approx(whole.ce.item(), rel=1e-12)
@@ -719,8 +797,9 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_blocks_match_one_unsplit_step_with_dropout(self, monkeypatch, cpus):
-        """Drawing a step's uniforms up front and handing each block its rows
-        gives the dropout masks, and the generator state, of one unsplit step."""
+        """Drawing a step's keep masks into an arena and handing each block its
+        rows gives the masks, and the generator state, of one unsplit step that
+        draws every uniform in one call."""
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         bags, vocab, _ = small_corpus()
         cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=2, num_heads=2, ff_dim=16,
@@ -730,13 +809,14 @@ class TestRowBlocks:
                            for i, b in enumerate(bags[:9])])
         adam = AdamState(params.tensors(), 0.0)
         serial = np.random.default_rng(11)
+        keep = serial.random((2 * cfg.num_layers, *batch.tokens.shape, cfg.d_model)) >= 0.3
         with Tape():
-            whole = training._forward_and_loss(params, batch, True, serial)
+            whole = training._forward_and_loss(params, batch, keep)
             tape.backward(whole.total)
         want = gather_grads(adam).copy()
 
         tcfg = TrainConfig(steps=1, batch_size=9)
-        blocks = training._Blocks(params, adam, tcfg, batch.tokens.shape[1], bags[:9])
+        blocks = training._Blocks(params, adam, tcfg, batch.tokens.shape[1], [batch])
         rng = np.random.default_rng(11)
         with parallel.Worker(blocks.serve) as blocks.worker:
             results, _ = blocks.gradients(blocks.draw(rng, batch))
@@ -810,3 +890,81 @@ class TestFloat32Trajectory:
             assert abs(n[2] - w[2]) <= 1e-5 * abs(w[2]), (w, n)
         assert runs["f32"][1:] == runs["f32b"][1:]
         assert runs["f32"][2] != runs["f64"][2]
+
+
+def _golden_corpus(mode):
+    """A tiny corpus with null values, and a few bags that arrive masked."""
+    events, _ = generate_synthetic_corpus(150, 5, seed=8, missing_rate=0.3)
+    counts, by_code = {}, {}
+    for e in events:
+        counts[e.code_id] = counts.get(e.code_id, 0) + 1
+        if e.value is not None:
+            by_code.setdefault(e.code_id, []).append(e.value)
+    ecdfs = {c: build_ecdf(c, np.asarray(v)) for c, v in by_code.items()}
+    vocab = (build_continuous_vocab(counts) if mode == "continuous"
+             else build_decile_vocab(ecdfs, counts))
+    bags, _ = build_bags(events, vocab, ecdfs)
+    rng = np.random.default_rng(0)
+    for i in (2, 5, 41, 70):
+        bags[i] = mask_bag(bags[i], vocab.mask_token, rng, n_mask=min(2, len(bags[i])))
+    return bags[:40], bags[40:62], bags[62:], vocab
+
+
+def _golden_digests(root, mode, mask_count, remask) -> dict:
+    """sha256 of every file a tiny pretrain run writes, and of its imputation report."""
+    train, val, test, vocab = _golden_corpus(mode)
+    cfg = ModelConfig.from_vocab(vocab, d_model=8, num_layers=2, num_heads=2, ff_dim=16,
+                                 dropout_rate=0.1)
+    params = init_params(cfg, seed=3)
+    tcfg = TrainConfig(steps=6, batch_size=7, learning_rate=1e-3, seed=2, checkpoint_interval=3,
+                       mask_count=mask_count, remask=remask, val_batches=2)
+    pretrain(params, train, val, tcfg, root)
+    decode = DECODE_CONTINUOUS if mode == "continuous" else DECODE_WEIGHTED
+    report = evaluate_imputation(params, test, vocab, decode, seed=4, batch_size=16)
+    out = {name: hashlib.sha256(data).hexdigest() for name, data in _run_bytes(root).items()}
+    out["impute"] = hashlib.sha256(json.dumps(report.to_json(), sort_keys=True)
+                                   .encode()).hexdigest()
+    return out
+
+
+# Recorded before each step's dropout masks and mask positions became arrays
+# that the caller draws: the draws, their order and the arithmetic stayed the
+# same, so the bytes must too. They hold at one BLAS thread (conftest pins it).
+GOLDEN_DIGESTS = {
+    ("continuous", 1, False): {
+        "checkpoints/final.ckpt": "6741dbc74b92906bfcbb1f7ff25cb20c9a8e443d2938d7b18967262e7fc0a2a8",
+        "checkpoints/step-00000003.ckpt": "dccf618dda35f797d05df11007b9a76ad6f8967ea5312cf35c3feb7c31f7c8f4",
+        "checkpoints/step-00000006.ckpt": "6741dbc74b92906bfcbb1f7ff25cb20c9a8e443d2938d7b18967262e7fc0a2a8",
+        "impute": "8f58429516339ff4851e2fae7853462a2828a9b400985ca959c5e8e35fe3c685",
+        "metrics.csv": "f8c50bd3f424ee68a4443afb12c4b08fe4d2aab27d187ce91fd660a77e1f50ad"},
+    ("continuous", 3, True): {
+        "checkpoints/final.ckpt": "f8cb3066f9659ee9a070202b6181173e83a7c5be7ecd1b06bb5dbd017a991353",
+        "checkpoints/step-00000003.ckpt": "645f639590e83cbc3c246784347aceee509b55b9f37ab631b48ea6a0915b7c59",
+        "checkpoints/step-00000006.ckpt": "f8cb3066f9659ee9a070202b6181173e83a7c5be7ecd1b06bb5dbd017a991353",
+        "impute": "1c3dc9bc3550f86a77dddc14767a24e126a42595d2eae423f85b8f185d84759c",
+        "metrics.csv": "c26783fc6ea0d2d5d60ed465714b91a2684092c6aac6f031de4e5ae46c7eef09"},
+    ("decile", 1, False): {
+        "checkpoints/final.ckpt": "607a015acb8b40d4d50da50d513b90f9a087fde6995e20c4187cc00461a40101",
+        "checkpoints/step-00000003.ckpt": "a2f297aee024efd8fe62aa16054cd708cf195201d1e0930b04fa65beb1dc1c8d",
+        "checkpoints/step-00000006.ckpt": "607a015acb8b40d4d50da50d513b90f9a087fde6995e20c4187cc00461a40101",
+        "impute": "e50b0113b495dc49d56d3d109cae0be378e75567159e6353a9fb2e4e6f8c3ff4",
+        "metrics.csv": "7d2c1f02860953e65d7e269e9f196e35785730cc1d760a1db6f5e47387633420"},
+    ("decile", 3, True): {
+        "checkpoints/final.ckpt": "80edb1793329892e2fda0c095410cfc19cdf16ff94e66056f4d11526b587c9da",
+        "checkpoints/step-00000003.ckpt": "a1a7ba6c2abbce41314aa661cff3981a94607b4d8b5f30f4a42b3fc7f24c4c56",
+        "checkpoints/step-00000006.ckpt": "80edb1793329892e2fda0c095410cfc19cdf16ff94e66056f4d11526b587c9da",
+        "impute": "aa51b4834074387775b7f8ba69b9a9f10b4bccdb8232b549b7f71f22173d2c7b",
+        "metrics.csv": "74ac21769caf3c5045115ad1aac8e293f21c4a813c78847a184a10287e2d006b"},
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("mode", ["continuous", "decile"])
+    @pytest.mark.parametrize("mask_count, remask", [(1, False), (3, True)])
+    def test_pretrain_and_imputation_bytes(self, tmp_path, monkeypatch, mode, mask_count,
+                                           remask):
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+            got = _golden_digests(tmp_path / f"cpus{cpus}", mode, mask_count, remask)
+            assert multiprocessing.active_children() == []
+            assert got == GOLDEN_DIGESTS[mode, mask_count, remask], cpus
